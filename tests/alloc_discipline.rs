@@ -8,11 +8,16 @@
 //! buffer through switch → server → switch.
 //!
 //! Verified the blunt way: this test binary installs a counting global
-//! allocator and asserts the allocation counter does not move across the
-//! warm burst.
+//! allocator and asserts that the measuring thread's allocation count does
+//! not move across the warm burst. The count is per thread, because libtest
+//! runs these tests in parallel and a process-wide counter would also see
+//! the set-up allocations of neighbouring tests. Per-thread counting is
+//! still exact: `Deployment`, `Switch` and `RtTable` start no threads, so
+//! every allocation the warm path could make lands on the calling thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::hint::black_box;
 
 use gallium::middleboxes::mazunat;
 use gallium::middleboxes::INTERNAL_PORT;
@@ -23,21 +28,37 @@ use gallium::prelude::*;
 /// warm path is *acquiring* memory).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialised, so
+    /// touching it never allocates (which would recurse into the allocator).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the current thread. `try_with` rather than
+/// `with`: during thread teardown the slot may already be gone, and a
+/// panic inside the allocator would abort the process.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -73,6 +94,20 @@ fn warm_nat_deployment() -> (Deployment, Packet) {
 }
 
 #[test]
+fn counter_sees_allocations_on_the_measuring_thread() {
+    // Negative control: the per-thread counter must still observe a heap
+    // allocation made here, or the zero-allocation assertions below
+    // could never fail.
+    let before = allocs();
+    black_box(Vec::<u8>::with_capacity(64));
+    let after = allocs();
+    assert!(
+        after - before >= 1,
+        "a 64-byte Vec allocation on this thread was not counted"
+    );
+}
+
+#[test]
 fn warm_fast_path_is_allocation_free() {
     let (mut d, probe) = warm_nat_deployment();
 
@@ -91,9 +126,9 @@ fn warm_fast_path_is_allocation_free() {
     // Measured burst: the counter must not move at all.
     let burst = build_burst();
     out.clear();
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     let done = d.inject_batch_into(burst, &mut out).unwrap();
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
 
     assert_eq!(done, BURST);
     assert_eq!(out.len(), BURST);
@@ -129,9 +164,9 @@ fn warm_fast_path_with_recorder_is_allocation_free() {
 
     let burst = build_burst();
     out.clear();
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     let done = d.inject_batch_into(burst, &mut out).unwrap();
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
 
     assert_eq!(done, BURST);
     assert_eq!(
@@ -173,7 +208,7 @@ fn rebuilt_layout_lookups_are_allocation_free() {
 
     let keys: Vec<Vec<u64>> = (0..48u64).map(|i| vec![i, i ^ 0xdead]).collect();
     let mut hits = 0u64;
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for _ in 0..64 {
         for k in &keys {
             t.prefetch(k);
@@ -182,7 +217,7 @@ fn rebuilt_layout_lookups_are_allocation_free() {
             }
         }
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
