@@ -517,11 +517,7 @@ impl<'p> Interpreter<'p> {
             }
             Op::LpmGet { table, key } => {
                 let k = get_int(*key)?;
-                let key_width = match &self.prog.states[table.0 as usize].kind {
-                    crate::StateKind::LpmMap { key_width, .. } => *key_width,
-                    _ => 64,
-                };
-                RtVal::MapRes(store.lpm_get(*table, k, key_width)?)
+                RtVal::MapRes(store.lpm_get(*table, k)?)
             }
             Op::IsNull { a } => match get(*a)? {
                 RtVal::MapRes(r) => RtVal::Int(u64::from(r.is_none())),

@@ -27,16 +27,20 @@
 //! * a reference [`interp`]reter — the functional-equivalence oracle that
 //!   plays the role of the unmodified input middlebox in every experiment,
 //! * a runtime [`state::StateStore`] holding the global maps / vectors /
-//!   registers a middlebox keeps across packets.
+//!   registers a middlebox keeps across packets,
+//! * the [`lpm::LpmIndex`] serving longest-prefix-match tables (shared with
+//!   the switch simulator) and the [`fasthash`] hasher behind it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;
 pub mod cfg;
+pub mod fasthash;
 pub mod func;
 pub mod inst;
 pub mod interp;
+pub mod lpm;
 pub mod parser;
 pub mod printer;
 pub mod state;
@@ -47,6 +51,7 @@ pub use builder::FuncBuilder;
 pub use func::{BasicBlock, BlockId, Function, Program, Terminator, ValueId};
 pub use inst::{BinOp, HeaderField, Inst, Loc, Op};
 pub use interp::{ExecResult, Interpreter, PacketAction, RegFile, RtVal, StateMutation};
+pub use lpm::LpmIndex;
 pub use state::{GlobalState, StateId, StateKind, StateStore};
 pub use types::Ty;
 
@@ -78,6 +83,13 @@ pub enum MirError {
     StepBudgetExceeded,
     /// The interpreter hit a dynamic fault (e.g. vector index out of range).
     Fault(String),
+    /// An LPM install named a prefix longer than the table's key width.
+    PrefixTooLong {
+        /// Requested prefix length in bits.
+        len: u8,
+        /// The table's key width in bits.
+        key_width: u8,
+    },
 }
 
 impl std::fmt::Display for MirError {
@@ -93,11 +105,23 @@ impl std::fmt::Display for MirError {
             }
             MirError::StepBudgetExceeded => write!(f, "interpreter step budget exceeded"),
             MirError::Fault(s) => write!(f, "runtime fault: {s}"),
+            MirError::PrefixTooLong { len, key_width } => {
+                write!(f, "prefix length {len} exceeds key width {key_width}")
+            }
         }
     }
 }
 
 impl std::error::Error for MirError {}
+
+impl From<lpm::PrefixTooLong> for MirError {
+    fn from(e: lpm::PrefixTooLong) -> Self {
+        MirError::PrefixTooLong {
+            len: e.len,
+            key_width: e.key_width,
+        }
+    }
+}
 
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, MirError>;

@@ -1,5 +1,6 @@
 //! Global middlebox state: declarations and the runtime store.
 
+use crate::lpm::LpmIndex;
 use crate::{MirError, Result};
 use std::collections::HashMap;
 
@@ -118,8 +119,8 @@ pub struct StateStore {
     maps: Vec<HashMap<Vec<u64>, Vec<u64>>>,
     vectors: Vec<Vec<u64>>,
     registers: Vec<u64>,
-    /// `(prefix value, prefix length, value)` triples per LPM table.
-    lpms: Vec<Vec<(u64, u8, Vec<u64>)>>,
+    /// One longest-prefix-match index per LPM table.
+    lpms: Vec<LpmIndex<Vec<u64>>>,
     /// Maps StateId index -> (kind tag, index into the per-kind vec).
     index: Vec<(SlotKind, usize)>,
 }
@@ -152,9 +153,9 @@ impl StateStore {
                         .push((SlotKind::Register, store.registers.len()));
                     store.registers.push(0);
                 }
-                StateKind::LpmMap { .. } => {
+                StateKind::LpmMap { key_width, .. } => {
                     store.index.push((SlotKind::Lpm, store.lpms.len()));
-                    store.lpms.push(Vec::new());
+                    store.lpms.push(LpmIndex::new(*key_width));
                 }
             }
         }
@@ -244,39 +245,34 @@ impl StateStore {
         Ok(())
     }
 
-    /// Longest-prefix-match lookup: among entries whose `prefix_len` high
-    /// bits of `key` equal the stored prefix, return the value of the
-    /// longest one.
-    pub fn lpm_get(&self, id: StateId, key: u64, key_width: u8) -> Result<Option<Vec<u64>>> {
+    /// Longest-prefix-match lookup: the value of the longest installed
+    /// prefix whose leading bits equal `key`'s (see [`LpmIndex`] for the
+    /// exact semantics).
+    pub fn lpm_get(&self, id: StateId, key: u64) -> Result<Option<Vec<u64>>> {
         let idx = self.slot(id, SlotKind::Lpm)?;
-        let mut best: Option<(u8, &Vec<u64>)> = None;
-        for (prefix, len, value) in &self.lpms[idx] {
-            let matches = if *len == 0 {
-                true
-            } else {
-                let shift = key_width.saturating_sub(*len);
-                (key >> shift) == (*prefix >> shift)
-            };
-            if matches && best.map(|(bl, _)| *len > bl).unwrap_or(true) {
-                best = Some((*len, value));
-            }
-        }
-        Ok(best.map(|(_, v)| v.clone()))
+        Ok(self.lpms[idx].get(key).cloned())
     }
 
-    /// Install an LPM entry (configuration-time API).
+    /// Install an LPM entry (configuration-time API). The prefix is
+    /// canonicalised, so any spelling of an installed prefix replaces it;
+    /// a prefix longer than the table's key width is refused with
+    /// [`MirError::PrefixTooLong`].
     pub fn lpm_put(&mut self, id: StateId, prefix: u64, len: u8, value: Vec<u64>) -> Result<()> {
         let idx = self.slot(id, SlotKind::Lpm)?;
-        self.lpms[idx].retain(|(p, l, _)| !(*p == prefix && *l == len));
-        self.lpms[idx].push((prefix, len, value));
+        self.lpms[idx].insert(prefix, len, value)?;
         Ok(())
     }
 
-    /// Snapshot of an LPM table's entries (sorted, for determinism).
+    /// Snapshot of an LPM table's entries as `(canonical prefix, len,
+    /// value)` (sorted, for determinism).
     pub fn lpm_entries(&self, id: StateId) -> Result<Vec<(u64, u8, Vec<u64>)>> {
         let idx = self.slot(id, SlotKind::Lpm)?;
-        let mut v = self.lpms[idx].clone();
-        v.sort();
+        let mut v: Vec<_> = self.lpms[idx]
+            .iter()
+            .map(|(prefix, len, value)| (prefix, len, value.clone()))
+            .collect();
+        // `(prefix, len)` is unique, so it alone fixes the order.
+        v.sort_unstable_by_key(|&(prefix, len, _)| (prefix, len));
         Ok(v)
     }
 

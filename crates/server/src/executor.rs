@@ -293,11 +293,7 @@ pub fn execute_server_partition_into(
                     }
                     Op::LpmGet { table, key } => {
                         let k = resolve!(vals, *key)?.as_int()?;
-                        let key_width = match &prog.states[table.0 as usize].kind {
-                            gallium_mir::StateKind::LpmMap { key_width, .. } => *key_width,
-                            _ => 64,
-                        };
-                        RtVal::MapRes(store.lpm_get(*table, k, key_width)?)
+                        RtVal::MapRes(store.lpm_get(*table, k)?)
                     }
                     Op::IsNull { a } => match resolve!(vals, *a)? {
                         RtVal::MapRes(r) => RtVal::Int(u64::from(r.is_none())),

@@ -22,7 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod control;
-pub mod fasthash;
+pub use gallium_mir::fasthash;
 pub mod loader;
 pub mod plan;
 #[doc(hidden)]

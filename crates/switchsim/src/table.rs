@@ -11,6 +11,7 @@
 //! dataplane processing).
 
 use crate::fasthash::{FastBuildHasher, FxHasher64};
+use gallium_mir::LpmIndex;
 use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -518,9 +519,9 @@ pub struct RtTable {
     /// FIFO eviction on insert-at-capacity (cache mode, §7 extension).
     evict_fifo: bool,
     order: VecDeque<TableKey>,
-    /// Longest-prefix-match mode (§7 extension): `(prefix, len, value)`
-    /// entries and the key width. Exact lookups are bypassed.
-    lpm: Option<(u8, Vec<LpmEntry>)>,
+    /// Longest-prefix-match mode (§7 extension). Exact lookups are
+    /// bypassed. Boxed so exact-match tables carry one null pointer.
+    lpm: Option<Box<LpmTable>>,
     /// Perfect-hash read layout serving exact-match lookups; `None` while
     /// a spilled key or displacement failure forces hash-map serving.
     /// Invariant while `Some`: `layout` overlaid with `delta` is
@@ -539,8 +540,37 @@ pub struct RtTable {
     pub stats: TableStats,
 }
 
-/// One LPM entry: `(prefix, prefix_len, value)`.
-type LpmEntry = (u64, u8, Vec<u64>);
+/// An LPM table: the per-length index shared with the server's state
+/// store, plus the installation order FIFO eviction walks.
+#[derive(Debug, Clone)]
+struct LpmTable {
+    index: LpmIndex<LpmSlot>,
+    /// `(canonical prefix, len, stamp)` per install, oldest first. A record
+    /// whose stamp is not the resident entry's is stale — the prefix was
+    /// re-installed (moving it to the back) or evicted since — and is
+    /// skipped by eviction and dropped by compaction.
+    order: VecDeque<(u64, u8, u64)>,
+    /// Stamp for the next install.
+    next_stamp: u64,
+}
+
+/// One resident LPM entry.
+#[derive(Debug, Clone)]
+struct LpmSlot {
+    value: Vec<u64>,
+    /// Matches the entry's live record in [`LpmTable::order`].
+    stamp: u64,
+}
+
+impl LpmTable {
+    /// True when `(prefix, len, stamp)` is the live order record of a
+    /// resident entry.
+    fn is_live(&self, prefix: u64, len: u8, stamp: u64) -> bool {
+        self.index
+            .get_exact(prefix, len)
+            .is_some_and(|slot| slot.stamp == stamp)
+    }
+}
 
 impl RtTable {
     /// Empty table sized to `capacity` entries.
@@ -634,7 +664,11 @@ impl RtTable {
     /// Switch the table into longest-prefix-match mode with the given key
     /// width.
     pub fn make_lpm(&mut self, key_width: u8) {
-        self.lpm = Some((key_width, Vec::new()));
+        self.lpm = Some(Box::new(LpmTable {
+            index: LpmIndex::new(key_width),
+            order: VecDeque::new(),
+            next_stamp: 0,
+        }));
     }
 
     /// Install an LPM entry (control plane).
@@ -645,7 +679,12 @@ impl RtTable {
     /// `(prefix, len)` pairs back to the caller so the control plane can
     /// track what fell out of the cache; ordinary tables reject the
     /// insert with a typed error. Prefixes longer than the key width are
-    /// rejected outright — they could never match consistently.
+    /// rejected outright — they could never match consistently. Every
+    /// error is raised before the table is touched.
+    ///
+    /// The prefix is canonicalised (see [`LpmIndex`]), so any spelling of a
+    /// resident prefix replaces it; a replaced entry moves to the back of
+    /// the eviction order. Evictions report canonical prefixes.
     pub fn lpm_insert(
         &mut self,
         prefix: u64,
@@ -654,44 +693,55 @@ impl RtTable {
     ) -> Result<Vec<(u64, u8)>, TableError> {
         let capacity = self.capacity;
         let evict = self.evict_fifo;
-        let Some((key_width, entries)) = &mut self.lpm else {
+        let Some(lpm) = &mut self.lpm else {
             return Err(TableError::NotLpm);
         };
-        if len > *key_width {
-            return Err(TableError::PrefixTooLong {
-                len,
-                key_width: *key_width,
-            });
+        let prefix = lpm
+            .index
+            .canonical(prefix, len)
+            .map_err(|e| TableError::PrefixTooLong {
+                len: e.len,
+                key_width: e.key_width,
+            })?;
+        let resident = lpm.index.get_exact(prefix, len).is_some();
+        let others = lpm.index.len() - usize::from(resident);
+        if others >= capacity && (!evict || capacity == 0) {
+            // The degenerate capacity is checked before any state is
+            // touched: evicting first would destroy resident entries and
+            // still fail.
+            return Err(TableError::CapacityExceeded { capacity });
         }
-        // Canonicalize: mask the prefix to its `len` leading bits. Bits
-        // below the prefix can never influence a match, so storing them
-        // raw would let two spellings of the same effective prefix (e.g.
-        // 0xFF/4 and 0xF0/4 under key width 8) coexist — replacement
-        // would miss, and lookups would keep serving the stale entry.
-        let prefix = if len == 0 {
-            0
-        } else {
-            let shift = *key_width - len;
-            (prefix >> shift) << shift
-        };
-        entries.retain(|(p, l, _)| !(*p == prefix && *l == len));
+        // A re-install moves the prefix to the back of the eviction order:
+        // removing it here leaves its old order record stale.
+        lpm.index.remove(prefix, len);
         let mut evicted = Vec::new();
-        if entries.len() >= capacity {
-            if !evict || capacity == 0 {
-                // The degenerate capacity is checked before any state is
-                // touched (mirroring `insert_main`): draining first would
-                // destroy the resident entries, lose the evicted list, and
-                // still fail.
-                return Err(TableError::CapacityExceeded { capacity });
-            }
-            // Cache mode: drop the oldest installed entries until one slot
-            // frees up (entries are kept in installation order).
-            while entries.len() >= capacity {
-                let (p, l, _) = entries.remove(0);
+        // Cache mode: drop the oldest installed entries until one slot
+        // frees up.
+        while lpm.index.len() >= capacity {
+            let (p, l, stamp) = lpm
+                .order
+                .pop_front()
+                .expect("every resident entry has a live order record");
+            if lpm.is_live(p, l, stamp) {
+                lpm.index.remove(p, l);
                 evicted.push((p, l));
             }
         }
-        entries.push((prefix, len, value));
+        let stamp = lpm.next_stamp;
+        lpm.next_stamp += 1;
+        lpm.index
+            .insert(prefix, len, LpmSlot { value, stamp })
+            .expect("length checked by canonical");
+        lpm.order.push_back((prefix, len, stamp));
+        if lpm.order.len() > 2 * lpm.index.len() + 16 {
+            // Re-installs leave stale records behind; dropping them here
+            // keeps the queue within a constant factor of the table.
+            let live = std::mem::take(&mut lpm.order);
+            lpm.order = live
+                .into_iter()
+                .filter(|&(p, l, s)| lpm.is_live(p, l, s))
+                .collect();
+        }
         self.stats.evictions.add(evicted.len() as u64);
         Ok(evicted)
     }
@@ -734,26 +784,9 @@ impl RtTable {
     }
 
     fn lookup_inner(&self, key: &[u64], wb_active: bool) -> Option<&[u64]> {
-        if let Some((key_width, entries)) = &self.lpm {
+        if let Some(lpm) = &self.lpm {
             let k = key.first().copied().unwrap_or(0);
-            let mut best: Option<(u8, &[u64])> = None;
-            for (prefix, len, value) in entries {
-                let matches = if *len == 0 {
-                    true
-                } else if *len > *key_width {
-                    // Over-long prefixes are rejected at insert; treat any
-                    // legacy entry as unmatchable rather than letting the
-                    // shift saturate to 0 and match everything.
-                    false
-                } else {
-                    let shift = key_width - len;
-                    (k >> shift) == (*prefix >> shift)
-                };
-                if matches && best.map(|(bl, _)| *len > bl).unwrap_or(true) {
-                    best = Some((*len, value.as_slice()));
-                }
-            }
-            return best.map(|(_, v)| v);
+            return lpm.index.get(k).map(|slot| slot.value.as_slice());
         }
         // Exact-match probes: keys that fit the inline lanes are rebuilt as
         // a stack-only `TableKey` so the hash maps' equality checks run the

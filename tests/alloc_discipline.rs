@@ -229,6 +229,96 @@ fn rebuilt_layout_lookups_are_allocation_free() {
 }
 
 #[test]
+fn warm_prefix_router_is_allocation_free() {
+    // The LPM fast path: a few hundred routes of mixed lengths, served by
+    // the per-length index. Neither the batch nor the per-packet entry
+    // point may acquire memory once warm.
+    use gallium::middleboxes::router::prefix_router;
+
+    let r = prefix_router();
+    let compiled = compile(&r.prog, &SwitchModel::tofino_like()).unwrap();
+    let mut d =
+        Deployment::new(&compiled, SwitchConfig::default(), CostModel::calibrated()).unwrap();
+    let routes: Vec<(u32, u8)> = (0..300u32)
+        .map(|i| {
+            let len = 8 + (i % 17) as u8;
+            // Bit 28 clear: addresses with it set fall to the default.
+            let prefix = i.wrapping_mul(0x9E37_79B9) & (u32::MAX << (32 - len)) & 0xEFFF_FFFF;
+            (prefix, len)
+        })
+        .collect();
+    let r2 = r.clone();
+    let installed = routes.clone();
+    d.configure(move |s| {
+        r2.add_route(s, 0, 0, 0x0200_0000_0000);
+        for (i, &(prefix, len)) in installed.iter().enumerate() {
+            r2.add_route(s, prefix, len, 0x0200_0000_0001 + i as u64);
+        }
+    })
+    .unwrap();
+
+    // Destinations inside the installed routes at every length, plus two
+    // that only the default route catches.
+    let probes: Vec<Packet> = routes
+        .iter()
+        .map(|&(prefix, len)| prefix | (0x00AB_CDEF & !(u32::MAX << (32 - len))))
+        .take(BURST - 2)
+        .chain([0xFF00_0001, 0xFE00_0005])
+        .map(|daddr| {
+            let t = FiveTuple {
+                saddr: 0x0A00_0009,
+                daddr,
+                sport: 40_000,
+                dport: 80,
+                proto: IpProtocol::Tcp,
+            };
+            PacketBuilder::tcp(t, TcpFlags(TcpFlags::ACK), 64).build(PortId(1))
+        })
+        .collect();
+    let build_burst = || -> Vec<Packet> { probes.iter().map(Packet::deep_clone).collect() };
+    let mut out: Vec<(PortId, Packet)> = Vec::with_capacity(BURST * 2);
+
+    // Warm both entry points.
+    let done = d.inject_batch_into(build_burst(), &mut out).unwrap();
+    assert_eq!(done, probes.len());
+    assert_eq!(out.len(), probes.len(), "every probe has a route");
+    for p in build_burst() {
+        d.inject_into(p, &mut out).unwrap();
+    }
+
+    let burst = build_burst();
+    out.clear();
+    let before = allocs();
+    let done = d.inject_batch_into(burst, &mut out).unwrap();
+    let after = allocs();
+    assert_eq!(done, probes.len());
+    assert_eq!(
+        after - before,
+        0,
+        "warm router batch allocated {} times over {} packets",
+        after - before,
+        probes.len()
+    );
+
+    let singles = build_burst();
+    out.clear();
+    let before = allocs();
+    for p in singles {
+        d.inject_into(p, &mut out).unwrap();
+    }
+    let after = allocs();
+    assert_eq!(out.len(), probes.len());
+    assert_eq!(
+        after - before,
+        0,
+        "warm router per-packet path allocated {} times over {} packets",
+        after - before,
+        probes.len()
+    );
+    assert_eq!(d.stats.slow_path, 0, "every lookup ran on the switch");
+}
+
+#[test]
 fn shared_packets_detach_instead_of_corrupting() {
     // The counterpart guarantee: when the injected packet *is* shared
     // (refcount > 1), copy-on-write pays one detach copy rather than

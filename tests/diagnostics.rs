@@ -140,6 +140,31 @@ fn lpm_prefix_longer_than_key_rejected() {
     assert_eq!(err.to_string(), "prefix length 32 exceeds key width 24");
 }
 
+#[test]
+fn server_lpm_prefix_longer_than_key_rejected() {
+    // The server's store refuses the same over-long prefix the switch
+    // does, with the same typed fields, and installs nothing.
+    let mut b = FuncBuilder::new("t");
+    let rib = b.decl_lpm("rib", 24, vec![8], Some(16));
+    let d = b.read_field(gallium::mir::HeaderField::IpDaddr);
+    let _ = b.lpm_get(rib, d);
+    b.send();
+    b.ret();
+    let prog = b.finish().expect("well-formed");
+    let mut store = StateStore::new(&prog.states);
+    let err = store.lpm_put(rib, 0, 32, vec![1]).expect_err("must reject");
+    assert_eq!(
+        err,
+        MirError::PrefixTooLong {
+            len: 32,
+            key_width: 24
+        }
+    );
+    assert_eq!(err.to_string(), "prefix length 32 exceeds key width 24");
+    assert!(store.lpm_entries(rib).unwrap().is_empty());
+    assert_eq!(store.lpm_get(rib, 0).unwrap(), None);
+}
+
 // --- 9. Control plane: operation on an undeclared table -----------------
 
 #[test]

@@ -82,6 +82,60 @@ fn deployed_router_matches_reference() {
 }
 
 #[test]
+fn respelled_prefix_replaces_route_on_switch_and_reference() {
+    // 10.1.2.3/8 is another spelling of 10.0.0.0/8: installing it must
+    // replace the first route in the server's store, in the reference
+    // interpreter's store and on the switch alike, or the deployment and
+    // the reference disagree on every address under 10/8.
+    let routes = [
+        (parse_addr("10.0.0.0").unwrap(), 8, 0xAA),
+        (parse_addr("10.1.2.3").unwrap(), 8, 0xBB),
+    ];
+    let r = prefix_router();
+    let compiled = compile(&r.prog, &SwitchModel::tofino_like()).unwrap();
+    let mut d =
+        Deployment::new(&compiled, SwitchConfig::default(), CostModel::calibrated()).unwrap();
+    let r2 = r.clone();
+    d.configure(move |s| {
+        for (prefix, len, mac) in routes {
+            r2.add_route(s, prefix, len, mac);
+        }
+    })
+    .unwrap();
+
+    let mut ref_store = StateStore::new(&r.prog.states);
+    for (prefix, len, mac) in routes {
+        r.add_route(&mut ref_store, prefix, len, mac);
+    }
+    let interp = Interpreter::new(&r.prog);
+
+    for dst in ["10.5.5.5", "10.1.2.3", "11.0.0.1"] {
+        let p = pkt(parse_addr(dst).unwrap());
+        let mut rp = p.clone();
+        let ref_out = interp.run(&mut rp, &mut ref_store, 0).unwrap();
+        let got = d.inject(p).unwrap();
+        match ref_out.sent() {
+            Some(expected) => {
+                assert_eq!(
+                    read_header_field(expected.bytes(), HeaderField::EthDst),
+                    0xBB,
+                    "dst {dst}: the later install wins"
+                );
+                assert_eq!(got.len(), 1, "dst {dst}");
+                assert_eq!(got[0].1.bytes(), expected.bytes(), "dst {dst}");
+            }
+            None => assert!(got.is_empty(), "dst {dst} should drop"),
+        }
+    }
+    assert_eq!(d.stats.slow_path, 0);
+    assert_eq!(
+        ref_store.lpm_entries(r.routes).unwrap(),
+        vec![(u64::from(parse_addr("10.0.0.0").unwrap()), 8, vec![0xBB])],
+        "one canonical entry"
+    );
+}
+
+#[test]
 fn longest_prefix_resolution_on_switch() {
     let r = prefix_router();
     let compiled = compile(&r.prog, &SwitchModel::tofino_like()).unwrap();

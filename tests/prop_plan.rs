@@ -748,3 +748,258 @@ proptest! {
         }
     }
 }
+
+/// The linear-scan LPM table the per-length [`gallium::mir::LpmIndex`]
+/// replaced, kept as the reference model: canonical `(prefix, len, value)`
+/// triples in installation order, a re-install moving its prefix to the
+/// back, capacity errors raised before anything changes.
+struct LinearLpm {
+    width: u8,
+    entries: Vec<(u64, u8, u64)>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LpmModelError {
+    TooLong,
+    Full,
+}
+
+impl LinearLpm {
+    fn new(width: u8) -> Self {
+        LinearLpm {
+            width,
+            entries: Vec::new(),
+        }
+    }
+
+    /// The prefix's `len` leading bits within the key width.
+    fn canonical(&self, prefix: u64, len: u8) -> Result<u64, LpmModelError> {
+        if len > self.width {
+            return Err(LpmModelError::TooLong);
+        }
+        if len == 0 {
+            return Ok(0);
+        }
+        let masked = prefix & (u64::MAX >> (64 - u32::from(self.width)));
+        let shift = self.width - len;
+        Ok((masked >> shift) << shift)
+    }
+
+    fn get(&self, key: u64) -> Option<u64> {
+        let mut best: Option<(u8, u64)> = None;
+        for &(prefix, len, value) in &self.entries {
+            let matches = len == 0 || {
+                let shift = self.width - len;
+                (key >> shift) == (prefix >> shift)
+            };
+            if matches && best.is_none_or(|(bl, _)| len > bl) {
+                best = Some((len, value));
+            }
+        }
+        best.map(|(_, v)| v)
+    }
+
+    fn insert(
+        &mut self,
+        prefix: u64,
+        len: u8,
+        value: u64,
+        capacity: usize,
+        evict: bool,
+    ) -> Result<Vec<(u64, u8)>, LpmModelError> {
+        let prefix = self.canonical(prefix, len)?;
+        let resident = self
+            .entries
+            .iter()
+            .any(|&(p, l, _)| (p, l) == (prefix, len));
+        let others = self.entries.len() - usize::from(resident);
+        if others >= capacity && (!evict || capacity == 0) {
+            return Err(LpmModelError::Full);
+        }
+        self.entries.retain(|&(p, l, _)| (p, l) != (prefix, len));
+        let mut evicted = Vec::new();
+        while self.entries.len() >= capacity {
+            let (p, l, _) = self.entries.remove(0);
+            evicted.push((p, l));
+        }
+        self.entries.push((prefix, len, value));
+        Ok(evicted)
+    }
+
+    fn sorted(&self) -> Vec<(u64, u8, u64)> {
+        let mut v = self.entries.clone();
+        v.sort_unstable();
+        v
+    }
+}
+
+/// One switch LPM table under test beside its own model.
+struct LpmUnderTest {
+    name: &'static str,
+    table: gallium::switchsim::RtTable,
+    model: LinearLpm,
+    capacity: usize,
+    evict: bool,
+}
+
+fn table_error(e: gallium::switchsim::TableError) -> LpmModelError {
+    match e {
+        gallium::switchsim::TableError::PrefixTooLong { .. } => LpmModelError::TooLong,
+        gallium::switchsim::TableError::CapacityExceeded { .. } => LpmModelError::Full,
+        other => panic!("unexpected LPM error {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The per-length LPM index — bare, behind `StateStore` (server and
+    /// reference interpreter) and behind `RtTable` (switch; unbounded,
+    /// capacity-bounded and cache mode) — must answer exactly like the
+    /// linear scan it replaced. Seeded sequences mix re-installs,
+    /// non-canonical spellings (noise below the prefix and above the key
+    /// width), `/0` and full-width routes, over-long prefixes, keys with
+    /// bits above the width, capacity errors, cache shrinks down to zero
+    /// capacity, and evictions, whose reported lists must match in order.
+    #[test]
+    fn lpm_index_equals_linear_scan_model(seed in any::<u64>()) {
+        use gallium::mir::{GlobalState, LpmIndex, MirError, StateId, StateKind, StateStore};
+        use gallium::switchsim::RtTable;
+
+        let mut r = XRng(seed);
+        let width = [1u8, 8, 16, 32, 64][r.below(5) as usize];
+        let wmask = u64::MAX >> (64 - u32::from(width));
+        // A few base addresses make prefixes collide and nest.
+        let bases: Vec<u64> = (0..5).map(|_| r.next() & wmask).collect();
+        let decl = GlobalState {
+            name: "rib".into(),
+            kind: StateKind::LpmMap {
+                key_width: width,
+                value_widths: vec![16],
+                max_entries: None,
+            },
+        };
+        let rib = StateId(0);
+        let mut store = StateStore::new(std::slice::from_ref(&decl));
+        let mut store_model = LinearLpm::new(width);
+        let mut index: LpmIndex<u64> = LpmIndex::new(width);
+        let mut index_model = LinearLpm::new(width);
+
+        let bounded = r.below(6) as usize;
+        let cached = r.below(5) as usize;
+        let mut tables = [
+            ("unbounded", 1 << 20, false),
+            ("bounded", bounded, false),
+            ("cache", cached, true),
+        ]
+        .map(|(name, capacity, evict)| {
+            let mut table = RtTable::new(capacity);
+            if evict {
+                table.make_cache(capacity);
+            }
+            table.make_lpm(width);
+            LpmUnderTest { name, table, model: LinearLpm::new(width), capacity, evict }
+        });
+
+        let ops = 40 + r.below(160);
+        for i in 0..ops {
+            let base = bases[r.below(bases.len() as u64) as usize];
+            match r.below(10) {
+                0..=4 => {
+                    let len = match r.below(6) {
+                        0 => 0,
+                        1 => width,
+                        2 => width + 1 + r.below(3) as u8,
+                        _ => r.below(u64::from(width) + 1) as u8,
+                    };
+                    // Another spelling: noise below the prefix, sometimes
+                    // bits above the key width.
+                    let mut prefix = base;
+                    if r.below(2) == 0 && len < width {
+                        prefix ^= r.next() & (wmask >> len);
+                    }
+                    if r.below(4) == 0 && width < 64 {
+                        prefix |= r.next() << width;
+                    }
+                    let value = r.below(1000);
+
+                    let want = index_model.insert(prefix, len, value, usize::MAX, false);
+                    let got = index.insert(prefix, len, value);
+                    prop_assert_eq!(
+                        got.map(|_| Vec::new()).map_err(|_| LpmModelError::TooLong),
+                        want,
+                        "op {}: index insert {:#x}/{}", i, prefix, len
+                    );
+
+                    let want = store_model.insert(prefix, len, value, usize::MAX, false);
+                    match store.lpm_put(rib, prefix, len, vec![value]) {
+                        Ok(()) => prop_assert!(want.is_ok(), "op {}: store accepted", i),
+                        Err(MirError::PrefixTooLong { len: l, key_width }) => {
+                            prop_assert_eq!((l, key_width), (len, width), "op {}", i);
+                            prop_assert_eq!(want, Err(LpmModelError::TooLong), "op {}", i);
+                        }
+                        Err(e) => prop_assert!(false, "op {}: store error {}", i, e),
+                    }
+
+                    for t in &mut tables {
+                        let want = t.model.insert(prefix, len, value, t.capacity, t.evict);
+                        let got = t
+                            .table
+                            .lpm_insert(prefix, len, vec![value])
+                            .map_err(table_error);
+                        prop_assert_eq!(
+                            got, want,
+                            "op {}: {} insert {:#x}/{}", i, t.name, prefix, len
+                        );
+                    }
+                }
+                5 => {
+                    // Shrink or regrow the cache, down to zero capacity.
+                    let t = &mut tables[2];
+                    t.capacity = r.below(4) as usize;
+                    t.table.make_cache(t.capacity);
+                }
+                _ => {
+                    let mut key = base;
+                    if r.below(2) == 0 {
+                        let kept = r.below(u64::from(width) + 1) as u32;
+                        key ^= r.next() & wmask.checked_shr(kept).unwrap_or(0);
+                    }
+                    if r.below(5) == 0 && width < 64 {
+                        key |= 1 << (u32::from(width) + r.below(64 - u64::from(width)) as u32);
+                    }
+                    prop_assert_eq!(
+                        index.get(key).copied(),
+                        index_model.get(key),
+                        "op {}: index lookup {:#x}", i, key
+                    );
+                    prop_assert_eq!(
+                        store.lpm_get(rib, key).unwrap(),
+                        store_model.get(key).map(|v| vec![v]),
+                        "op {}: store lookup {:#x}", i, key
+                    );
+                    for t in &tables {
+                        let want = t.model.get(key);
+                        prop_assert_eq!(
+                            t.table.lookup_ref(&[key], false),
+                            want.as_ref().map(std::slice::from_ref),
+                            "op {}: {} lookup {:#x}", i, t.name, key
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(index.len(), index_model.entries.len(), "op {}: index len", i);
+        }
+
+        let mut got: Vec<_> = index.iter().map(|(p, l, &v)| (p, l, v)).collect();
+        got.sort_unstable();
+        prop_assert_eq!(got, index_model.sorted(), "final index entries");
+        let got: Vec<_> = store
+            .lpm_entries(rib)
+            .unwrap()
+            .into_iter()
+            .map(|(p, l, v)| (p, l, v[0]))
+            .collect();
+        prop_assert_eq!(got, store_model.sorted(), "final store entries");
+    }
+}
