@@ -26,8 +26,8 @@
 //!    process's counting global allocator (must be 0 on every warm
 //!    drain — including every layout probe and prefetch).
 //! 4. **Table telemetry** — the `gallium.switchsim.table.rebuilds` /
-//!    `.probe` counters proving the timed lookups actually went through
-//!    the perfect-hash layout, not the fallback map.
+//!    `.probe` counters proving the timed lookups actually probed the
+//!    exact-match store.
 //!
 //! Usage: `bench_pr10 [--quick] [OUT_PATH]`. `--quick` shrinks stream
 //! lengths and timing iterations for CI smoke runs; the differential
@@ -787,10 +787,9 @@ fn main() {
     }
 
     // ---- 4. Table-layout telemetry ---------------------------------------
-    // The timed MazuNAT deployment must have served its lookups through
-    // the perfect-hash layout: the probe counter counts single-probe
-    // layout hits only (fallback map lookups do not bump it), and the
-    // rebuild counter counts epoch-triggered layout rebuilds.
+    // The timed MazuNAT deployment must have served its lookups from the
+    // tables' slot arrays: the probe counter counts exact-match probes of
+    // the arrays, and the rebuild counter counts slot-array growths.
     let snap = cases[0].d.telemetry_snapshot();
     let table_rebuilds = snap
         .counter("gallium.switchsim.table.rebuilds")

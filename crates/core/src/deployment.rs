@@ -17,7 +17,7 @@ use gallium_mir::StateStore;
 use gallium_net::{Packet, PortId};
 use gallium_p4::ControlPlaneOp;
 use gallium_partition::StatePlacement;
-use gallium_server::{CostModel, ExecError, MiddleboxServer};
+use gallium_server::{CostModel, ExecError, MiddleboxServer, SwitchResident};
 use gallium_switchsim::{ControlError, ControlPlane, LoadError, Switch, SwitchConfig};
 use gallium_telemetry::names;
 use gallium_telemetry::trace::{DropReason, EventKind, Hop, Tracer};
@@ -347,11 +347,29 @@ impl Deployment {
     /// Configure middlebox state (backend lists, rules, …) on the server's
     /// authoritative store, then push replicated/switch-resident entries to
     /// the switch — the operator's provisioning step.
+    ///
+    /// The push is a bulk load of [`MiddleboxServer::switch_resident`]:
+    /// each table is resolved and grown once and its borrowed entries are
+    /// installed in key order, leaving the switch as replaying
+    /// [`MiddleboxServer::initial_sync`] through the control plane would
+    /// (same entries, cache-mode evictions and typed errors).
     pub fn configure<F: FnOnce(&mut StateStore)>(&mut self, f: F) -> Result<(), DeployError> {
         f(self.server.store_mut());
-        let ops = self.server.initial_sync();
-        for op in &ops {
-            self.switch.control(op)?;
+        for state in self.server.switch_resident() {
+            match state {
+                SwitchResident::Map { name, entries } => {
+                    self.switch.install_entries(name, &entries)?;
+                }
+                SwitchResident::Register { name, value } => {
+                    self.switch.control(&ControlPlaneOp::RegisterSet {
+                        register: name.to_string(),
+                        value,
+                    })?;
+                }
+                SwitchResident::Lpm { name, routes } => {
+                    self.switch.install_routes(name, &routes)?;
+                }
+            }
         }
         Ok(())
     }
@@ -614,46 +632,57 @@ impl Deployment {
         Ok((visible, visible + rest))
     }
 
-    /// Check that every replicated map on the switch mirrors the server's
-    /// authoritative copy — the invariant behind run-to-completion. For
-    /// **cached** tables the requirement weakens to subset-correctness:
-    /// every cached entry must match the authoritative value (no staleness),
-    /// but the cache may hold fewer entries.
+    /// Check that every switch-resident table — replicated or switch-only,
+    /// exact-match or LPM — mirrors the server's authoritative copy, the
+    /// invariant behind run-to-completion. (A switch-only table is never
+    /// written by packets, so it must still equal what provisioning
+    /// pushed.) For **cached** tables the requirement weakens to
+    /// subset-correctness: every cached entry must match the authoritative
+    /// value (no staleness), but the cache may hold fewer entries.
     pub fn replicated_consistent(&self) -> bool {
         let staged = self.server.staged();
         for (i, st) in staged.prog.states.iter().enumerate() {
             let sid = gallium_mir::StateId(i as u32);
             let cached = self.server.cached_states().contains(&sid);
-            if staged.placement_of(sid) != StatePlacement::Replicated && !cached {
+            if !cached
+                && !matches!(
+                    staged.placement_of(sid),
+                    StatePlacement::Replicated | StatePlacement::SwitchOnly
+                )
+            {
                 continue;
             }
-            if let gallium_mir::StateKind::Map { .. } = st.kind {
-                let Some(table) = self.switch.table(&st.name) else {
-                    return false;
-                };
-                let server_entries = self.server.store.map_entries(sid).expect("declared state");
-                if cached {
-                    // Subset: every cached entry exists authoritatively
-                    // with the same value (no staleness, no ghosts).
-                    let authoritative: std::collections::HashMap<_, _> =
-                        server_entries.into_iter().collect();
-                    for (k, cached_v) in table.entries() {
-                        if authoritative.get(&k) != Some(&cached_v) {
-                            return false;
-                        }
-                    }
-                } else {
-                    if table.len() != server_entries.len() {
+            let server_entries = match st.kind {
+                gallium_mir::StateKind::Map { .. } => {
+                    self.server.store.map_entries(sid).expect("declared state")
+                }
+                // Read back as the switch spells LPM entries:
+                // `[canonical prefix, prefix length]`.
+                gallium_mir::StateKind::LpmMap { .. } => self
+                    .server
+                    .store
+                    .lpm_entries(sid)
+                    .expect("declared state")
+                    .into_iter()
+                    .map(|(prefix, len, v)| (vec![prefix, u64::from(len)], v))
+                    .collect(),
+                _ => continue,
+            };
+            let Some(table) = self.switch.table(&st.name) else {
+                return false;
+            };
+            if cached {
+                // Subset: every cached entry exists authoritatively
+                // with the same value (no staleness, no ghosts).
+                let authoritative: std::collections::HashMap<_, _> =
+                    server_entries.into_iter().collect();
+                for (k, cached_v) in table.entries() {
+                    if authoritative.get(&k) != Some(&cached_v) {
                         return false;
                     }
-                    for (k, v) in &server_entries {
-                        if table.lookup_ref(k, self.switch.write_back_active())
-                            != Some(v.as_slice())
-                        {
-                            return false;
-                        }
-                    }
                 }
+            } else if table.entries() != server_entries {
+                return false;
             }
         }
         true

@@ -209,6 +209,14 @@ impl StateStore {
         Ok(v)
     }
 
+    /// A map's entries, borrowed, in no particular order.
+    pub fn map_iter(&self, id: StateId) -> Result<impl Iterator<Item = (&[u64], &[u64])> + '_> {
+        let idx = self.slot(id, SlotKind::Map)?;
+        Ok(self.maps[idx]
+            .iter()
+            .map(|(k, v)| (k.as_slice(), v.as_slice())))
+    }
+
     /// Read a vector element.
     pub fn vec_get(&self, id: StateId, i: usize) -> Result<u64> {
         let idx = self.slot(id, SlotKind::Vector)?;
@@ -274,6 +282,15 @@ impl StateStore {
         // `(prefix, len)` is unique, so it alone fixes the order.
         v.sort_unstable_by_key(|&(prefix, len, _)| (prefix, len));
         Ok(v)
+    }
+
+    /// An LPM table's entries as `(canonical prefix, len, value)`,
+    /// borrowed, in no particular order.
+    pub fn lpm_iter(&self, id: StateId) -> Result<impl Iterator<Item = (u64, u8, &[u64])> + '_> {
+        let idx = self.slot(id, SlotKind::Lpm)?;
+        Ok(self.lpms[idx]
+            .iter()
+            .map(|(prefix, len, value)| (prefix, len, value.as_slice())))
     }
 
     /// Fused fetch-and-add on a register (single stateful-ALU access).

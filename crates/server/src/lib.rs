@@ -34,4 +34,4 @@ pub use executor::{
 };
 pub use parallel::{ParallelReference, ParallelStats};
 pub use plan::ServerPlan;
-pub use runtime::{MiddleboxServer, ReferenceServer, ServerOutput, ServerStats};
+pub use runtime::{MiddleboxServer, ReferenceServer, ServerOutput, ServerStats, SwitchResident};

@@ -491,11 +491,14 @@ impl MiddleboxServer {
         snap
     }
 
-    /// Initial control-plane programming: push the current contents of
-    /// every replicated map/register to the switch (used after
-    /// configuration, before traffic).
-    pub fn initial_sync(&self) -> Vec<ControlPlaneOp> {
-        let mut ops = Vec::new();
+    /// The switch-resident state — every `Replicated` or `SwitchOnly`
+    /// map, register and LPM table — borrowed from the store in
+    /// declaration order, each table's entries sorted by key. This is the
+    /// one walk provisioning pushes to the switch: `Deployment::configure`
+    /// installs it in bulk and [`MiddleboxServer::initial_sync`] spells it
+    /// as control-plane operations.
+    pub fn switch_resident(&self) -> Vec<SwitchResident<'_>> {
+        let mut out = Vec::new();
         for (i, st) in self.staged.prog.states.iter().enumerate() {
             let sid = gallium_mir::StateId(i as u32);
             if !matches!(
@@ -504,43 +507,100 @@ impl MiddleboxServer {
             ) {
                 continue;
             }
+            let name = st.name.as_str();
             match st.kind {
                 gallium_mir::StateKind::Map { .. } => {
-                    if let Ok(entries) = self.store.map_entries(sid) {
-                        for (k, v) in entries {
-                            ops.push(ControlPlaneOp::TableInsert {
-                                table: st.name.clone(),
-                                key: k,
-                                value: v,
-                            });
-                        }
+                    if let Ok(entries) = self.store.map_iter(sid) {
+                        let mut entries: Vec<_> = entries.collect();
+                        // Keys are unique, so the key alone fixes the order.
+                        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                        out.push(SwitchResident::Map { name, entries });
                     }
                 }
                 gallium_mir::StateKind::Register { .. } => {
-                    if let Ok(v) = self.store.reg_read(sid) {
-                        ops.push(ControlPlaneOp::RegisterSet {
-                            register: st.name.clone(),
-                            value: v,
-                        });
+                    if let Ok(value) = self.store.reg_read(sid) {
+                        out.push(SwitchResident::Register { name, value });
                     }
                 }
                 gallium_mir::StateKind::Vector { .. } => {}
                 gallium_mir::StateKind::LpmMap { .. } => {
-                    if let Ok(entries) = self.store.lpm_entries(sid) {
-                        for (prefix, len, value) in entries {
-                            ops.push(ControlPlaneOp::LpmInsert {
-                                table: st.name.clone(),
-                                prefix,
-                                prefix_len: len,
-                                value,
-                            });
-                        }
+                    if let Ok(routes) = self.store.lpm_iter(sid) {
+                        let mut routes: Vec<_> = routes.collect();
+                        routes.sort_unstable_by_key(|&(prefix, len, _)| (prefix, len));
+                        out.push(SwitchResident::Lpm { name, routes });
                     }
+                }
+            }
+        }
+        out
+    }
+
+    /// Initial control-plane programming: [`MiddleboxServer::switch_resident`]
+    /// as one operation per entry and register (used after configuration,
+    /// before traffic).
+    pub fn initial_sync(&self) -> Vec<ControlPlaneOp> {
+        let mut ops = Vec::new();
+        for state in self.switch_resident() {
+            match state {
+                SwitchResident::Map { name, entries } => {
+                    ops.extend(
+                        entries
+                            .into_iter()
+                            .map(|(k, v)| ControlPlaneOp::TableInsert {
+                                table: name.to_string(),
+                                key: k.to_vec(),
+                                value: v.to_vec(),
+                            }),
+                    );
+                }
+                SwitchResident::Register { name, value } => {
+                    ops.push(ControlPlaneOp::RegisterSet {
+                        register: name.to_string(),
+                        value,
+                    });
+                }
+                SwitchResident::Lpm { name, routes } => {
+                    ops.extend(routes.into_iter().map(|(prefix, len, v)| {
+                        ControlPlaneOp::LpmInsert {
+                            table: name.to_string(),
+                            prefix,
+                            prefix_len: len,
+                            value: v.to_vec(),
+                        }
+                    }));
                 }
             }
         }
         ops
     }
+}
+
+/// One switch-resident state's provisioning contents, borrowed from the
+/// server's store (see [`MiddleboxServer::switch_resident`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SwitchResident<'a> {
+    /// An exact-match table: `(key, value)` sorted by key.
+    Map {
+        /// Table name.
+        name: &'a str,
+        /// The entries.
+        entries: Vec<(&'a [u64], &'a [u64])>,
+    },
+    /// A register.
+    Register {
+        /// Register name.
+        name: &'a str,
+        /// Its value.
+        value: u64,
+    },
+    /// An LPM table: `(canonical prefix, prefix length, value)` sorted by
+    /// prefix, then length.
+    Lpm {
+        /// Table name.
+        name: &'a str,
+        /// The routes.
+        routes: Vec<(u64, u8, &'a [u64])>,
+    },
 }
 
 /// The FastClick baseline: the *unpartitioned* program running on the

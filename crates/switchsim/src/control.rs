@@ -130,23 +130,71 @@ pub trait ControlPlane {
     }
 }
 
+impl Switch {
+    /// Install exact-match entries into `table`: the table is resolved
+    /// once and grown at most once, and each entry is copied from the
+    /// borrowed slices into its slot. Equivalent to one
+    /// [`ControlPlaneOp::TableInsert`] per entry, in order: the same
+    /// cache-mode evictions reach [`Switch::drain_evictions`], and the
+    /// same typed error stops the load at the same entry.
+    pub fn install_entries(
+        &mut self,
+        table: &str,
+        entries: &[(&[u64], &[u64])],
+    ) -> Result<(), ControlError> {
+        let (t, evictions) = self
+            .table_and_evictions(table)
+            .ok_or_else(|| ControlError::UnknownTable(table.to_string()))?;
+        if entries.len() > 1 {
+            t.reserve(entries.len());
+        }
+        for (key, value) in entries {
+            let evicted = t
+                .insert_main(key, value)
+                .map_err(|_| ControlError::TableFull {
+                    table: table.to_string(),
+                })?;
+            // Cache-mode FIFO displacement: surface the evicted keys to
+            // whoever drives the control plane (drain_evictions).
+            evictions.extend(evicted.into_iter().map(|k| (table.to_string(), k)));
+        }
+        Ok(())
+    }
+
+    /// Install LPM routes `(prefix, prefix length, value)` into `table`,
+    /// resolving it once. Equivalent to one [`ControlPlaneOp::LpmInsert`]
+    /// per route, in order, evictions and errors included.
+    pub fn install_routes(
+        &mut self,
+        table: &str,
+        routes: &[(u64, u8, &[u64])],
+    ) -> Result<(), ControlError> {
+        let (t, evictions) = self
+            .table_and_evictions(table)
+            .ok_or_else(|| ControlError::UnknownTable(table.to_string()))?;
+        for &(prefix, len, value) in routes {
+            let evicted = t
+                .lpm_insert(prefix, len, value.to_vec())
+                .map_err(|source| ControlError::Lpm {
+                    table: table.to_string(),
+                    source,
+                })?;
+            evictions.extend(
+                evicted
+                    .into_iter()
+                    .map(|(p, l)| (table.to_string(), vec![p, u64::from(l)])),
+            );
+        }
+        Ok(())
+    }
+}
+
 impl ControlPlane for Switch {
     fn control(&mut self, op: &ControlPlaneOp) -> Result<u64, ControlError> {
         match op {
             ControlPlaneOp::TableInsert { table, key, value }
             | ControlPlaneOp::TableModify { table, key, value } => {
-                let t = self
-                    .table_mut(table)
-                    .ok_or_else(|| ControlError::UnknownTable(table.clone()))?;
-                let evicted = t.insert_main(key.clone(), value.clone()).map_err(|_| {
-                    ControlError::TableFull {
-                        table: table.clone(),
-                    }
-                })?;
-                // Cache-mode FIFO displacement: surface the evicted keys to
-                // whoever drives the control plane (drain_evictions).
-                self.evictions
-                    .extend(evicted.into_iter().map(|k| (table.clone(), k)));
+                self.install_entries(table, &[(key, value)])?;
             }
             ControlPlaneOp::TableDelete { table, key } => {
                 self.table_mut(table)
@@ -177,20 +225,7 @@ impl ControlPlane for Switch {
                 prefix_len,
                 value,
             } => {
-                let t = self
-                    .table_mut(table)
-                    .ok_or_else(|| ControlError::UnknownTable(table.clone()))?;
-                let evicted =
-                    t.lpm_insert(*prefix, *prefix_len, value.clone())
-                        .map_err(|source| ControlError::Lpm {
-                            table: table.clone(),
-                            source,
-                        })?;
-                self.evictions.extend(
-                    evicted
-                        .into_iter()
-                        .map(|(p, l)| (table.clone(), vec![p, u64::from(l)])),
-                );
+                self.install_routes(table, &[(*prefix, *prefix_len, value)])?;
             }
         }
         Ok(control_op_latency_ns(op))

@@ -40,9 +40,7 @@ pub use switch::{
     Switch, SwitchConfig, SwitchStats, FLAG_CACHE_MISS, FLAG_PASSTHROUGH, FLAG_RUN_POST,
 };
 pub use symcheck::{check_plan, SymCheckError, SymProof};
-pub use table::{
-    KeyBuf, RtTable, TableCounter, TableError, TableKey, TableStats, INLINE_KEY_WORDS,
-};
+pub use table::{KeyBuf, RtTable, TableCounter, TableError, TableStats, INLINE_KEY_WORDS};
 pub use view::{
     CondSrc, MicroOp, OpView, PlanView, PrefetchView, StoreView, TraversalView, ValRef,
 };

@@ -101,6 +101,9 @@ pub struct SwitchStats {
     pub drop_malformed: u64,
 }
 
+/// Keys displaced from cache-mode tables, as `(table name, key)` pairs.
+pub(crate) type EvictionLog = Vec<(String, Vec<u64>)>;
+
 /// The simulated switch: a loaded program plus its runtime state.
 #[derive(Debug)]
 pub struct Switch {
@@ -123,11 +126,6 @@ pub struct Switch {
     prefetch_stamps: [Option<PrefetchStamp>; 2],
     /// Which prefetch slot the next hint writes.
     prefetch_toggle: bool,
-    /// Set by [`Switch::table_mut`] (the control-plane mutation doorway);
-    /// cleared at the top of [`Switch::process_into`] after re-flattening
-    /// every table's read layout, so steady-state packets probe a clean
-    /// perfect-hash array with the delta overlay empty.
-    tables_dirty: bool,
     tables: Vec<RtTable>,
     registers: Vec<u64>,
     pub(crate) wb_active: bool,
@@ -138,7 +136,7 @@ pub struct Switch {
     /// Keys displaced from cache-mode tables by control-plane inserts,
     /// as `(table name, key)` pairs awaiting [`Switch::drain_evictions`].
     /// LPM evictions are recorded as `[prefix, prefix_len]`.
-    pub(crate) evictions: Vec<(String, Vec<u64>)>,
+    pub(crate) evictions: EvictionLog,
     /// Flight recorder shared with the rest of the deployment; `None`
     /// (the default) keeps the packet path free of trace checks beyond
     /// one branch.
@@ -289,7 +287,6 @@ impl Switch {
             prefetch_slots,
             prefetch_stamps: [None, None],
             prefetch_toggle: false,
-            tables_dirty: false,
             tables,
             registers,
             wb_active: false,
@@ -351,13 +348,21 @@ impl Switch {
         self.routes.insert(daddr, port);
     }
 
-    /// Runtime table access (tests and the control plane). Marks the
-    /// table set dirty: the next packet re-flattens any mutated read
-    /// layouts before probing (see [`RtTable::flush_layout`]).
+    /// Runtime table access (tests and the control plane). Mutations
+    /// are visible to the next packet.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut RtTable> {
         let i = self.prog.tables.iter().position(|t| t.name == name)?;
-        self.tables_dirty = true;
         Some(&mut self.tables[i])
+    }
+
+    /// The table `name` and the eviction log its cache-mode inserts
+    /// append to, borrowed together (the control plane's doorway).
+    pub(crate) fn table_and_evictions(
+        &mut self,
+        name: &str,
+    ) -> Option<(&mut RtTable, &mut EvictionLog)> {
+        let i = self.prog.tables.iter().position(|t| t.name == name)?;
+        Some((&mut self.tables[i], &mut self.evictions))
     }
 
     /// Read-only table access.
@@ -435,8 +440,8 @@ impl Switch {
             rebuilds += rt.stats.rebuilds.get();
             probes += rt.stats.probes.get();
         }
-        // Aggregates across all tables: perfect-hash layout rebuild count
-        // and one-shot probes served by the flat layout.
+        // Aggregates across all tables: slot-array growths and
+        // exact-match probes of the slot arrays.
         snap.set_counter(names::TABLE_REBUILDS, rebuilds);
         snap.set_counter(names::TABLE_PROBES, probes);
         snap.set_counter(names::SWITCH_REGISTERS_COUNT, self.registers.len() as u64);
@@ -457,15 +462,6 @@ impl Switch {
     /// Process one packet, appending `(egress port, frame)` pairs to
     /// `out` — the allocation-reusing core of [`Switch::process`].
     pub fn process_into(&mut self, pkt: Packet, out: &mut Vec<(PortId, Packet)>) {
-        // Control-plane mutations since the last packet dirty the read
-        // layouts; re-flatten once here so the steady state pays a single
-        // predicted-untaken branch and every probe below is one-shot.
-        if self.tables_dirty {
-            for t in &mut self.tables {
-                t.flush_layout();
-            }
-            self.tables_dirty = false;
-        }
         if self.plan.is_some() {
             self.process_planned(pkt, out);
         } else {
@@ -1109,7 +1105,7 @@ mod tests {
         let key = u64::from((0x0A000001u32 ^ 0x0A000099) & 0xFFFF);
         sw.table_mut("map")
             .unwrap()
-            .insert_main(vec![key], vec![0xC0A80001])
+            .insert_main(&[key], &[0xC0A80001])
             .unwrap();
         sw.add_route(0xC0A80001, PortId(7));
         let out = sw.process(tcp_pkt(0x0A000001, 0x0A000099));
@@ -1201,7 +1197,7 @@ mod tests {
             let key = u64::from((0x0A000001u32 ^ 0x0A000099) & 0xFFFF);
             sw.table_mut("map")
                 .unwrap()
-                .insert_main(vec![key], vec![0xC0A80001])
+                .insert_main(&[key], &[0xC0A80001])
                 .unwrap();
         }
         let flows = [

@@ -1,150 +1,28 @@
 //! Runtime match-action tables with write-back shadows (§4.3.3).
 //!
-//! Control-plane mutations land in an ordinary `HashMap`; the data plane
-//! reads through a rebuilt [`ReadLayout`] — a flat, open-addressed
-//! perfect-hash array (hash-and-displace over [`FxHasher64`]) holding the
-//! inline key lanes and value offsets in one contiguous allocation, so a
-//! warm exact-match probe touches exactly one slot with no bucket-chain
-//! pointer chases. Mutations between rebuilds accumulate in a small delta
-//! overlay; the layout is rebuilt incrementally on mutation epochs (or
-//! eagerly via [`RtTable::flush_layout`], which the switch calls before
-//! dataplane processing).
+//! An exact-match table is one open-addressed slot array, written in
+//! place by the control plane one entry at a time, as the hashed SRAM of
+//! an RMT switch is: Robin-Hood linear probing on insert, backward shift
+//! on delete, so there are no tombstones and no per-mutation rebuild.
+//! Each slot holds the key words, their length and the value words
+//! inline; a warm lookup is one hash plus a short contiguous probe, with
+//! no allocation. The array starts empty and doubles (never shrinks), and
+//! only those growths re-lay it out. A table's entries live in that one
+//! array, plus the write-back shadow of staged updates. Longest-prefix
+//! tables keep their entries in the per-length [`LpmIndex`] instead, and
+//! cache-mode tables of both kinds evict through one stamped FIFO queue.
 
 use crate::fasthash::{FastBuildHasher, FxHasher64};
 use gallium_mir::LpmIndex;
-use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
-/// Number of key words a [`TableKey`] stores inline (without heap
+/// Number of key words a [`KeyBuf`] assembles inline (without heap
 /// indirection). RMT-style hardware matches on fixed-width keys; four
 /// 64-bit words cover every packaged middlebox (the widest key, a
 /// five-tuple, packs into 5×≤32-bit fields lowered to ≤4 words).
 pub const INLINE_KEY_WORDS: usize = 4;
-
-/// A match key stored inline — the software analogue of a fixed-width
-/// RMT match key.
-///
-/// Keys of up to [`INLINE_KEY_WORDS`] words (every packaged middlebox)
-/// live directly in the enum with no heap allocation; wider keys take the
-/// typed `Spilled` fallback. Equality and hashing are defined over
-/// [`TableKey::as_slice`], and `TableKey: Borrow<[u64]>`, so a
-/// `HashMap<TableKey, V>` can be probed with a plain `&[u64]` — the data
-/// plane never materializes a key to look one up.
-#[derive(Debug, Clone)]
-pub enum TableKey {
-    /// Up to [`INLINE_KEY_WORDS`] words stored in place.
-    Inline {
-        /// Number of meaningful words in `words`.
-        len: u8,
-        /// The key words; entries at index ≥ `len` are zero padding.
-        words: [u64; INLINE_KEY_WORDS],
-    },
-    /// Typed fallback for keys wider than [`INLINE_KEY_WORDS`] words.
-    Spilled(Box<[u64]>),
-}
-
-impl TableKey {
-    /// The key words as a slice (only the meaningful prefix for inline
-    /// keys).
-    pub fn as_slice(&self) -> &[u64] {
-        match self {
-            TableKey::Inline { len, words } => &words[..usize::from(*len)],
-            TableKey::Spilled(words) => words,
-        }
-    }
-
-    /// Number of key words.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// True for the zero-width key.
-    pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
-
-    /// Owned copy of the key words.
-    pub fn to_vec(&self) -> Vec<u64> {
-        self.as_slice().to_vec()
-    }
-}
-
-impl From<&[u64]> for TableKey {
-    fn from(slice: &[u64]) -> Self {
-        if slice.len() <= INLINE_KEY_WORDS {
-            let mut words = [0u64; INLINE_KEY_WORDS];
-            words[..slice.len()].copy_from_slice(slice);
-            TableKey::Inline {
-                len: slice.len() as u8,
-                words,
-            }
-        } else {
-            TableKey::Spilled(slice.into())
-        }
-    }
-}
-
-impl From<Vec<u64>> for TableKey {
-    fn from(v: Vec<u64>) -> Self {
-        if v.len() <= INLINE_KEY_WORDS {
-            TableKey::from(v.as_slice())
-        } else {
-            TableKey::Spilled(v.into_boxed_slice())
-        }
-    }
-}
-
-impl PartialEq for TableKey {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (TableKey::Inline { len: la, words: wa }, TableKey::Inline { len: lb, words: wb }) => {
-                // Branchless word-parallel compare: XOR-accumulate the
-                // difference across all four lanes, masking each lane by
-                // whether it is live (index < len). Lane masking — rather
-                // than trusting the zero-padding invariant — keeps the
-                // compare correct even for hand-built keys, and matches
-                // `as_slice()` equality exactly.
-                let mut acc = u64::from(la ^ lb);
-                let len = usize::from(*la);
-                for i in 0..INLINE_KEY_WORDS {
-                    acc |= (wa[i] ^ wb[i]) & u64::from(i < len).wrapping_neg();
-                }
-                acc == 0
-            }
-            _ => self.as_slice() == other.as_slice(),
-        }
-    }
-}
-
-impl Eq for TableKey {}
-
-impl Hash for TableKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Must agree with `<[u64] as Hash>` so `Borrow<[u64]>` probes hash
-        // to the same bucket.
-        self.as_slice().hash(state);
-    }
-}
-
-impl Borrow<[u64]> for TableKey {
-    fn borrow(&self) -> &[u64] {
-        self.as_slice()
-    }
-}
-
-impl PartialOrd for TableKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TableKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
 
 /// Reusable key-assembly buffer for the packet hot path.
 ///
@@ -238,33 +116,32 @@ pub struct TableStats {
     pub misses: TableCounter,
     /// Entries displaced by cache-mode FIFO replacement (§7).
     pub evictions: TableCounter,
-    /// Perfect-hash read-layout rebuilds (control-plane side).
+    /// Slot-array growths that moved resident entries (control-plane
+    /// side): doublings and stride widenings.
     pub rebuilds: TableCounter,
-    /// Exact-match lookups served by the perfect-hash read layout.
+    /// Exact-match lookups that probed the slot array (lookups the
+    /// write-back shadow answered are not counted).
     pub probes: TableCounter,
 }
 
-/// Multiplier for the layout's slot-index hash (golden-ratio family; odd).
-const LAYOUT_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Multiplier that turns a key hash into a home slot (golden-ratio
+/// family; odd). [`FxHasher64`] has no finaliser, so its low bits depend
+/// only on the low bits of the last key word; the home slot is taken from
+/// the *high* bits of this product, which every input bit reaches.
+const SLOT_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Slot-array doublings attempted before the layout gives up and the
-/// table keeps serving lookups from the hash map.
-const LAYOUT_BUILD_ATTEMPTS: usize = 4;
+/// Fewest slots an allocated slot array holds.
+const MIN_SLOTS: usize = 8;
 
-/// Displacement values tried per bucket before growing the slot array.
-const LAYOUT_DISP_TRIES: u32 = 256;
+/// Header bit set on an occupied slot; an empty slot's header is 0.
+const OCCUPIED: u64 = 1 << 63;
 
-/// Delta-overlay entries that trigger an automatic layout rebuild (the
-/// effective threshold scales with table size; see
-/// [`RtTable::note_mutation`]).
-const LAYOUT_DELTA_MAX: usize = 16;
+/// Header bits holding the key length (bits 0..16); the value length sits
+/// in bits 16..32 and the probe distance in bits 32..63.
+const LEN_MASK: u64 = 0xFFFF;
 
-/// `len` sentinel marking an unoccupied layout slot (no real key has more
-/// than [`INLINE_KEY_WORDS`] words here).
-const LAYOUT_EMPTY: u8 = u8::MAX;
-
-/// Hash of a key's words for the read layout. Folds the length first so
-/// `[1]` and `[1, 0]` (distinct keys) never share a hash by construction.
+/// Hash of a key's words. Folds the length first so `[1]` and `[1, 0]`
+/// (distinct keys) never share a hash by construction.
 #[inline]
 fn hash_key_words(words: &[u64]) -> u64 {
     let mut h = FxHasher64::default();
@@ -275,198 +152,280 @@ fn hash_key_words(words: &[u64]) -> u64 {
     h.finish()
 }
 
-/// Bucket index for the displacement table: the high hash bits (the
-/// multiply-mixed ones), independent of the low bits the slot index uses.
+/// Header of an occupied slot.
 #[inline]
-fn layout_bucket_index(h: u64, mask: u64) -> usize {
-    ((h >> 32) & mask) as usize
+fn header(klen: usize, vlen: usize, dist: u64) -> u64 {
+    assert!(
+        klen <= LEN_MASK as usize && vlen <= LEN_MASK as usize,
+        "match keys and values are at most {LEN_MASK} words"
+    );
+    OCCUPIED | (dist << 32) | ((vlen as u64) << 16) | klen as u64
 }
 
-/// Slot index under displacement `disp`: re-mixing through a multiply
-/// makes each displacement value behave like an independent hash function
-/// for every key in the bucket, which is what hash-and-displace needs.
+/// Probe distance of an occupied slot from its home slot.
 #[inline]
-fn layout_slot_index(h: u64, disp: u32, mask: u64) -> usize {
-    ((h.wrapping_add(u64::from(disp)).wrapping_mul(LAYOUT_SEED) >> 32) & mask) as usize
+fn dist_of(hdr: u64) -> u64 {
+    (hdr & !OCCUPIED) >> 32
 }
 
-/// One slot of the read layout: inline key lanes (zero-padded past `len`,
-/// so equality is a branchless four-lane XOR) plus the value's offset into
-/// the layout's contiguous value pool.
-#[derive(Debug, Clone, Copy)]
-struct LayoutSlot {
-    /// Key words, or [`LAYOUT_EMPTY`] for an unoccupied slot.
-    len: u8,
-    /// The key words; lanes at index ≥ `len` are zero.
-    words: [u64; INLINE_KEY_WORDS],
-    /// Start of the value words in [`ReadLayout::values`].
-    val_start: u32,
-    /// Number of value words.
-    val_len: u32,
+/// Slot count that holds `n` entries at a load factor of at most 7/8.
+fn slots_for(n: usize) -> usize {
+    (n + n / 7 + 1).next_power_of_two().max(MIN_SLOTS)
 }
 
-impl LayoutSlot {
-    const EMPTY: LayoutSlot = LayoutSlot {
-        len: LAYOUT_EMPTY,
-        words: [0; INLINE_KEY_WORDS],
-        val_start: 0,
-        val_len: 0,
-    };
-}
-
-/// Read-optimized two-level (hash-and-displace) exact-match layout.
+/// The exact-match store: one open-addressed array of fixed-stride slots,
+/// updated in place by Robin-Hood linear probing with backward-shift
+/// delete.
 ///
-/// A lookup is: hash the key words, read one displacement word, probe one
-/// slot, compare the inline lanes — at most one slot touched, zero bucket
-/// chains, zero allocation. Built from the main hash map by
-/// [`RtTable::rebuild_layout`]; tables holding any spilled (wider than
-/// [`INLINE_KEY_WORDS`]) key fall back to hash-map serving.
-#[derive(Debug, Clone)]
-struct ReadLayout {
-    /// `slot count - 1` (slot count is a power of two; bucket count equals
-    /// slot count).
-    mask: u64,
-    /// Per-bucket displacement values.
-    disp: Box<[u32]>,
-    /// The open-addressed slot array.
-    slots: Box<[LayoutSlot]>,
-    /// All values, concatenated; slots index into this pool.
-    values: Box<[u64]>,
+/// A slot is `stride` consecutive words: a header (occupancy bit, key and
+/// value lengths, probe distance), the FIFO stamp in cache mode, then
+/// `key_lanes` key words and `val_lanes` value words. The lane counts are
+/// the widest key and value the table has held, so keys of any width —
+/// wider than [`INLINE_KEY_WORDS`] included — live in the slot itself.
+/// A table starts empty, doubles when an insert would push the load past
+/// 7/8, widens its stride when a wider key or value arrives, and never
+/// shrinks. Only those whole-array re-layouts allocate.
+#[derive(Debug, Clone, Default)]
+struct SlotArray {
+    /// `slot count × stride` words; empty until the first insert.
+    words: Vec<u64>,
+    /// `slot count - 1` (the slot count is a power of two).
+    mask: usize,
+    /// `64 - log2(slot count)`: the home slot is `hash × SLOT_SEED >> shift`.
+    shift: u32,
+    /// Words per slot.
+    stride: usize,
+    /// Whether slots carry a FIFO stamp word (cache mode).
+    stamped: bool,
+    /// Key words per slot.
+    key_lanes: usize,
+    /// Value words per slot.
+    val_lanes: usize,
+    /// Occupied slots.
+    len: usize,
 }
 
-impl ReadLayout {
-    /// Single-probe exact-match lookup. `None` for keys wider than the
-    /// inline lanes — [`RtTable`] guarantees no such key is resident while
-    /// a layout is active.
+impl SlotArray {
+    /// Home slot of `key`.
     #[inline]
-    fn get(&self, key: &[u64]) -> Option<&[u64]> {
-        if key.len() > INLINE_KEY_WORDS {
-            return None;
-        }
-        let mut padded = [0u64; INLINE_KEY_WORDS];
-        padded[..key.len()].copy_from_slice(key);
-        let h = hash_key_words(key);
-        let b = layout_bucket_index(h, self.mask);
-        let s = layout_slot_index(h, self.disp[b], self.mask);
-        let slot = &self.slots[s];
-        // Branchless compare: the slot's lanes past `len` are zero by
-        // construction and `padded` is zero past the probe's length, so
-        // all four lanes can be XOR-folded unconditionally; the length
-        // byte disambiguates prefix keys and empty slots (LAYOUT_EMPTY
-        // never equals a real length).
-        let mut acc = u64::from(slot.len ^ key.len() as u8);
-        for (w, p) in slot.words.iter().zip(padded.iter()) {
-            acc |= w ^ p;
-        }
-        if acc != 0 {
-            return None;
-        }
-        let start = slot.val_start as usize;
-        Some(&self.values[start..start + slot.val_len as usize])
+    fn home(&self, key: &[u64]) -> usize {
+        (hash_key_words(key).wrapping_mul(SLOT_SEED) >> self.shift) as usize
     }
 
-    /// Prefetch the slot this key would probe. Reading the displacement
-    /// word and touching the slot line here is the point: by the time the
-    /// real probe runs, both are warm. The crate forbids `unsafe`, so
-    /// instead of a prefetch instruction this issues an early demand load
-    /// of the slot's tag byte through `black_box` — the out-of-order core
-    /// overlaps the line fill with whatever the caller does next exactly
-    /// as a software prefetch would.
+    /// Offset of a slot's key lanes from its header.
     #[inline]
-    fn prefetch(&self, key: &[u64]) {
-        if key.len() > INLINE_KEY_WORDS {
-            return;
-        }
-        let h = hash_key_words(key);
-        let b = layout_bucket_index(h, self.mask);
-        let s = layout_slot_index(h, self.disp[b], self.mask);
-        std::hint::black_box(self.slots[s].len);
+    fn key_off(&self) -> usize {
+        1 + usize::from(self.stamped)
     }
-}
 
-/// Build a read layout over `main`, or `None` when a spilled key or a
-/// displacement failure forces hash-map serving.
-fn build_layout(main: &HashMap<TableKey, Vec<u64>, FastBuildHasher>) -> Option<ReadLayout> {
-    let mut entries = Vec::with_capacity(main.len());
-    for (key, value) in main {
-        if key.len() > INLINE_KEY_WORDS {
+    /// Word offset of the slot holding `key`.
+    #[inline]
+    fn find(&self, key: &[u64]) -> Option<usize> {
+        if self.len == 0 || key.len() > self.key_lanes {
             return None;
         }
-        entries.push((hash_key_words(key.as_slice()), key, value));
-    }
-    let mut nslots = (main.len().max(1) * 2).next_power_of_two().max(8);
-    for _ in 0..LAYOUT_BUILD_ATTEMPTS {
-        if let Some(layout) = try_build_layout(&entries, nslots) {
-            return Some(layout);
-        }
-        nslots *= 2;
-    }
-    None
-}
-
-/// One hash-and-displace attempt at a fixed slot count. Buckets are
-/// placed in decreasing size order (big buckets have the fewest viable
-/// displacements, so they claim slots while the array is emptiest).
-fn try_build_layout(entries: &[(u64, &TableKey, &Vec<u64>)], nslots: usize) -> Option<ReadLayout> {
-    let mask = (nslots - 1) as u64;
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); nslots];
-    for (i, (h, _, _)) in entries.iter().enumerate() {
-        buckets[layout_bucket_index(*h, mask)].push(i as u32);
-    }
-    let mut order: Vec<u32> = (0..nslots as u32)
-        .filter(|&b| !buckets[b as usize].is_empty())
-        .collect();
-    order.sort_by_key(|&b| (std::cmp::Reverse(buckets[b as usize].len()), b));
-    let mut disp = vec![0u32; nslots].into_boxed_slice();
-    let mut slot_entry = vec![u32::MAX; nslots];
-    let mut claimed: Vec<usize> = Vec::new();
-    for &b in &order {
-        let members = &buckets[b as usize];
-        let mut placed = false;
-        'disp: for d in 0..LAYOUT_DISP_TRIES {
-            claimed.clear();
-            for &m in members {
-                let s = layout_slot_index(entries[m as usize].0, d, mask);
-                if slot_entry[s] != u32::MAX || claimed.contains(&s) {
-                    continue 'disp;
+        let want = key.len() as u64;
+        let mut i = self.home(key);
+        let mut dist = 0u64;
+        loop {
+            let at = i * self.stride;
+            let hdr = self.words[at];
+            // Robin-Hood order: a run holds its keys sorted by home slot,
+            // so a slot nearer its home than this probe is to ours (or an
+            // empty one) ends the search.
+            if hdr == 0 || dist_of(hdr) < dist {
+                return None;
+            }
+            if hdr & LEN_MASK == want {
+                let k = at + self.key_off();
+                if self.words[k..k + key.len()] == *key {
+                    return Some(at);
                 }
-                claimed.push(s);
             }
-            disp[b as usize] = d;
-            for (&m, &s) in members.iter().zip(&claimed) {
-                slot_entry[s] = m;
-            }
-            placed = true;
-            break;
-        }
-        if !placed {
-            return None;
+            i = (i + 1) & self.mask;
+            dist += 1;
         }
     }
-    let mut slots = vec![LayoutSlot::EMPTY; nslots].into_boxed_slice();
-    let mut values = Vec::new();
-    for (s, &e) in slot_entry.iter().enumerate() {
-        if e == u32::MAX {
-            continue;
+
+    /// Demand-load the header of `key`'s home slot (see
+    /// [`RtTable::prefetch`]).
+    #[inline]
+    fn touch_home(&self, key: &[u64]) {
+        if !self.words.is_empty() {
+            std::hint::black_box(self.words[self.home(key) * self.stride]);
         }
-        let (_, key, value) = entries[e as usize];
-        let kslice = key.as_slice();
-        let mut words = [0u64; INLINE_KEY_WORDS];
-        words[..kslice.len()].copy_from_slice(kslice);
-        slots[s] = LayoutSlot {
-            len: kslice.len() as u8,
-            words,
-            val_start: values.len() as u32,
-            val_len: value.len() as u32,
+    }
+
+    /// Key words of the slot at `at`.
+    fn key_at(&self, at: usize) -> &[u64] {
+        let k = at + self.key_off();
+        &self.words[k..k + (self.words[at] & LEN_MASK) as usize]
+    }
+
+    /// Value words of the slot at `at`.
+    #[inline]
+    fn value_at(&self, at: usize) -> &[u64] {
+        let v = at + self.key_off() + self.key_lanes;
+        &self.words[v..v + ((self.words[at] >> 16) & LEN_MASK) as usize]
+    }
+
+    /// FIFO stamp of the slot at `at` (cache mode).
+    fn stamp_at(&self, at: usize) -> u64 {
+        self.words[at + 1]
+    }
+
+    /// Word offsets of the occupied slots, in slot order.
+    fn occupied(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.words.len())
+            .step_by(self.stride.max(1))
+            .filter(|&at| self.words[at] != 0)
+    }
+
+    /// Re-lay the array out with `nslots` slots and the given lane counts,
+    /// re-inserting every entry. Returns whether resident entries moved.
+    fn relayout(
+        &mut self,
+        nslots: usize,
+        key_lanes: usize,
+        val_lanes: usize,
+        stamped: bool,
+    ) -> bool {
+        let old = std::mem::replace(
+            self,
+            SlotArray {
+                words: Vec::new(),
+                mask: nslots - 1,
+                shift: 64 - nslots.trailing_zeros(),
+                stride: 1 + usize::from(stamped) + key_lanes + val_lanes,
+                stamped,
+                key_lanes,
+                val_lanes,
+                len: 0,
+            },
+        );
+        self.words = vec![0; nslots * self.stride];
+        for at in old.occupied() {
+            let stamp = if old.stamped { old.stamp_at(at) } else { 0 };
+            self.insert_new(old.key_at(at), old.value_at(at), stamp);
+        }
+        old.len > 0
+    }
+
+    /// Make room for `additional` more entries without a further
+    /// re-layout. Returns whether resident entries moved.
+    fn reserve(&mut self, additional: usize) -> bool {
+        let nslots = slots_for(self.len + additional);
+        if nslots > self.mask + 1 || self.words.is_empty() {
+            return self.relayout(nslots, self.key_lanes, self.val_lanes, self.stamped);
+        }
+        false
+    }
+
+    /// Give every slot a FIFO stamp word (cache mode); resident entries
+    /// get stamp 0.
+    fn set_stamped(&mut self) {
+        if self.words.is_empty() {
+            self.stamped = true;
+        } else if !self.stamped {
+            self.relayout(self.mask + 1, self.key_lanes, self.val_lanes, true);
+        }
+    }
+
+    /// Insert or overwrite `key`. A new entry takes `stamp`; an
+    /// overwritten one keeps its own. Returns whether resident entries
+    /// moved to make room.
+    fn put(&mut self, key: &[u64], value: &[u64], stamp: u64) -> bool {
+        let mut at = self.find(key);
+        let grow =
+            self.words.is_empty() || (at.is_none() && (self.len + 1) * 8 > (self.mask + 1) * 7);
+        let mut moved = false;
+        if grow || key.len() > self.key_lanes || value.len() > self.val_lanes {
+            let nslots = if grow {
+                slots_for(self.len + 1).max(self.mask + 1)
+            } else {
+                self.mask + 1
+            };
+            let key_lanes = self.key_lanes.max(key.len());
+            let val_lanes = self.val_lanes.max(value.len());
+            moved = self.relayout(nslots, key_lanes, val_lanes, self.stamped);
+            at = self.find(key);
+        }
+        match at {
+            Some(at) => {
+                let v = at + self.key_off() + self.key_lanes;
+                self.words[v..v + value.len()].copy_from_slice(value);
+                self.words[v + value.len()..v + self.val_lanes].fill(0);
+                self.words[at] = header(key.len(), value.len(), dist_of(self.words[at]));
+            }
+            None => self.insert_new(key, value, stamp),
+        }
+        moved
+    }
+
+    /// Robin-Hood insert of a key known to be absent, into an array with
+    /// room and wide enough lanes: the new entry takes the first slot
+    /// whose occupant sits nearer its home than the probe does (or the
+    /// first empty slot), and the rest of that run shifts one slot on.
+    fn insert_new(&mut self, key: &[u64], value: &[u64], stamp: u64) {
+        let mut i = self.home(key);
+        let mut dist = 0u64;
+        loop {
+            let hdr = self.words[i * self.stride];
+            if hdr == 0 || dist_of(hdr) < dist {
+                break;
+            }
+            i = (i + 1) & self.mask;
+            dist += 1;
+        }
+        // Shift [i, first empty) one slot on, last slot first.
+        let mut end = i;
+        while self.words[end * self.stride] != 0 {
+            end = (end + 1) & self.mask;
+        }
+        while end != i {
+            let prev = end.wrapping_sub(1) & self.mask;
+            let (src, dst) = (prev * self.stride, end * self.stride);
+            self.words.copy_within(src..src + self.stride, dst);
+            self.words[dst] += 1 << 32;
+            end = prev;
+        }
+        let at = i * self.stride;
+        self.words[at] = header(key.len(), value.len(), dist);
+        if self.stamped {
+            self.words[at + 1] = stamp;
+        }
+        let k = at + self.key_off();
+        self.words[k..k + key.len()].copy_from_slice(key);
+        self.words[k + key.len()..k + self.key_lanes].fill(0);
+        let v = k + self.key_lanes;
+        self.words[v..v + value.len()].copy_from_slice(value);
+        self.words[v + value.len()..v + self.val_lanes].fill(0);
+        self.len += 1;
+    }
+
+    /// Delete `key` with backward shift: the rest of its run moves one
+    /// slot back, so no tombstone is left behind.
+    fn remove(&mut self, key: &[u64]) -> bool {
+        let Some(at) = self.find(key) else {
+            return false;
         };
-        values.extend_from_slice(value);
+        let mut i = at / self.stride;
+        loop {
+            let next = (i + 1) & self.mask;
+            let hdr = self.words[next * self.stride];
+            if hdr == 0 || dist_of(hdr) == 0 {
+                break;
+            }
+            let (src, dst) = (next * self.stride, i * self.stride);
+            self.words.copy_within(src..src + self.stride, dst);
+            self.words[dst] -= 1 << 32;
+            i = next;
+        }
+        let at = i * self.stride;
+        self.words[at..at + self.stride].fill(0);
+        self.len -= 1;
+        true
     }
-    Some(ReadLayout {
-        mask,
-        disp,
-        slots,
-        values: values.into_boxed_slice(),
-    })
 }
 
 /// Why a table rejected a control-plane mutation.
@@ -504,7 +463,7 @@ impl std::fmt::Display for TableError {
 
 impl std::error::Error for TableError {}
 
-/// One exact-match table plus its write-back shadow.
+/// One match-action table plus its write-back shadow.
 ///
 /// The shadow holds *staged* updates: `Some(value)` overrides the main
 /// table, `None` is a tombstone that negates it. Lookups consult the shadow
@@ -513,31 +472,69 @@ impl std::error::Error for TableError {}
 /// visible at once.
 #[derive(Debug, Clone, Default)]
 pub struct RtTable {
-    main: HashMap<TableKey, Vec<u64>, FastBuildHasher>,
-    shadow: HashMap<TableKey, Option<Vec<u64>>, FastBuildHasher>,
+    /// The exact-match entries (unused in LPM mode).
+    slots: SlotArray,
+    shadow: HashMap<Vec<u64>, Option<Vec<u64>>, FastBuildHasher>,
     capacity: usize,
     /// FIFO eviction on insert-at-capacity (cache mode, §7 extension).
     evict_fifo: bool,
-    order: VecDeque<TableKey>,
+    /// Cache-mode install order of exact-match keys; a record is live
+    /// while its stamp is the resident slot's.
+    order: FifoOrder<Vec<u64>>,
     /// Longest-prefix-match mode (§7 extension). Exact lookups are
     /// bypassed. Boxed so exact-match tables carry one null pointer.
     lpm: Option<Box<LpmTable>>,
-    /// Perfect-hash read layout serving exact-match lookups; `None` while
-    /// a spilled key or displacement failure forces hash-map serving.
-    /// Invariant while `Some`: `layout` overlaid with `delta` is
-    /// observation-equivalent to `main`.
-    layout: Option<ReadLayout>,
-    /// Mutations since the last rebuild: `Some` overrides the layout,
-    /// `None` tombstones a layout entry. Consulted (cheaply, behind one
-    /// `is_empty` branch) before every layout probe; cleared on rebuild.
-    delta: HashMap<TableKey, Option<Vec<u64>>, FastBuildHasher>,
-    /// Control-plane mutation epoch: bumped once per main-table mutation.
-    epoch: u64,
-    /// Epoch the layout was last rebuilt at (stale ⇒ `flush_layout`
-    /// re-attempts the build).
-    layout_epoch: u64,
     /// Hit/miss/eviction/rebuild/probe counters.
     pub stats: TableStats,
+}
+
+/// Cache-mode install order shared by both match kinds: `(record, stamp)`
+/// per install, oldest first. The resident entry carries the stamp of its
+/// live record; a record whose stamp no resident entry carries — the
+/// entry was deleted, evicted or re-installed since — is stale, skipped by
+/// eviction and dropped by compaction.
+#[derive(Debug, Clone)]
+struct FifoOrder<R> {
+    records: VecDeque<(R, u64)>,
+    /// Stamp of the newest record; stamps start at 1.
+    last_stamp: u64,
+}
+
+impl<R> Default for FifoOrder<R> {
+    fn default() -> Self {
+        FifoOrder {
+            records: VecDeque::new(),
+            last_stamp: 0,
+        }
+    }
+}
+
+impl<R> FifoOrder<R> {
+    /// Append a record and return its stamp.
+    fn push(&mut self, record: R) -> u64 {
+        self.last_stamp += 1;
+        self.records.push_back((record, self.last_stamp));
+        self.last_stamp
+    }
+
+    /// Drop the stale records once they outnumber the `resident` entries
+    /// by more than a constant, keeping the queue within a constant factor
+    /// of the table.
+    fn compact(&mut self, resident: usize, is_live: impl Fn(&R, u64) -> bool) {
+        if self.records.len() > 2 * resident + 16 {
+            self.records.retain(|(r, s)| is_live(r, *s));
+        }
+    }
+
+    /// Remove and return the oldest live record.
+    fn pop_oldest(&mut self, is_live: impl Fn(&R, u64) -> bool) -> Option<R> {
+        while let Some((r, s)) = self.records.pop_front() {
+            if is_live(&r, s) {
+                return Some(r);
+            }
+        }
+        None
+    }
 }
 
 /// An LPM table: the per-length index shared with the server's state
@@ -545,13 +542,8 @@ pub struct RtTable {
 #[derive(Debug, Clone)]
 struct LpmTable {
     index: LpmIndex<LpmSlot>,
-    /// `(canonical prefix, len, stamp)` per install, oldest first. A record
-    /// whose stamp is not the resident entry's is stale — the prefix was
-    /// re-installed (moving it to the back) or evicted since — and is
-    /// skipped by eviction and dropped by compaction.
-    order: VecDeque<(u64, u8, u64)>,
-    /// Stamp for the next install.
-    next_stamp: u64,
+    /// `(canonical prefix, len)` per install.
+    order: FifoOrder<(u64, u8)>,
 }
 
 /// One resident LPM entry.
@@ -562,102 +554,56 @@ struct LpmSlot {
     stamp: u64,
 }
 
-impl LpmTable {
-    /// True when `(prefix, len, stamp)` is the live order record of a
-    /// resident entry.
-    fn is_live(&self, prefix: u64, len: u8, stamp: u64) -> bool {
-        self.index
-            .get_exact(prefix, len)
-            .is_some_and(|slot| slot.stamp == stamp)
-    }
+/// True when `(prefix, len)` with `stamp` is the live record of an entry
+/// of `index`.
+fn lpm_live(index: &LpmIndex<LpmSlot>, &(prefix, len): &(u64, u8), stamp: u64) -> bool {
+    index
+        .get_exact(prefix, len)
+        .is_some_and(|slot| slot.stamp == stamp)
+}
+
+/// True when `key` with `stamp` is the live record of an entry of `slots`.
+fn exact_live(slots: &SlotArray, key: &[u64], stamp: u64) -> bool {
+    slots
+        .find(key)
+        .is_some_and(|at| slots.stamp_at(at) == stamp)
 }
 
 impl RtTable {
-    /// Empty table sized to `capacity` entries.
+    /// Empty table that admits up to `capacity` entries. Nothing is
+    /// allocated until the first insert.
     pub fn new(capacity: usize) -> Self {
         RtTable {
-            main: HashMap::default(),
-            shadow: HashMap::default(),
             capacity,
-            evict_fifo: false,
-            order: VecDeque::new(),
-            lpm: None,
-            layout: build_layout(&HashMap::default()),
-            delta: HashMap::default(),
-            epoch: 0,
-            layout_epoch: 0,
-            stats: TableStats::default(),
+            ..RtTable::default()
         }
     }
 
-    /// Rebuild the perfect-hash read layout from `main` and clear the
-    /// delta overlay. Called automatically when the overlay grows past its
-    /// threshold and from [`RtTable::flush_layout`].
-    fn rebuild_layout(&mut self) {
-        self.delta.clear();
-        self.layout = build_layout(&self.main);
-        self.layout_epoch = self.epoch;
-        self.stats.rebuilds.inc();
-    }
+    /// No-op: the store is updated in place, so there is nothing to
+    /// flush. Kept only because the replay benchmark still calls it; it
+    /// goes with the benchmark's next revision.
+    pub fn flush_layout(&mut self) {}
 
-    /// Make the read layout current if any mutation is outstanding. The
-    /// switch calls this before dataplane processing so steady-state
-    /// lookups always take the single-probe path with an empty delta.
-    pub fn flush_layout(&mut self) {
-        if self.layout_epoch != self.epoch {
-            self.rebuild_layout();
-        }
-    }
-
-    /// True when exact-match lookups are currently served by the
-    /// perfect-hash layout (as opposed to the fallback hash map).
-    pub fn layout_active(&self) -> bool {
-        self.layout.is_some()
-    }
-
-    /// Number of mutations buffered in the delta overlay since the last
-    /// layout rebuild.
-    pub fn pending_delta(&self) -> usize {
-        self.delta.len()
-    }
-
-    /// The control-plane mutation epoch (bumped once per main-table
-    /// mutation).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Prefetch the layout slot `key` would probe, hiding the probe's
+    /// Demand-load the slot `key` would probe first, hiding the probe's
     /// memory latency behind unrelated work (batch software pipelining).
-    /// Semantically a no-op; cheap and harmless even when the layout is
-    /// stale or inactive.
+    /// Semantically a no-op. The crate forbids `unsafe`, so instead of a
+    /// prefetch instruction this issues an early load of the home slot's
+    /// header through `black_box`; the out-of-order core overlaps the
+    /// line fill with whatever the caller does next.
     #[inline]
     pub fn prefetch(&self, key: &[u64]) {
-        if let Some(layout) = &self.layout {
-            layout.prefetch(key);
+        if self.lpm.is_none() {
+            self.slots.touch_home(key);
         }
     }
 
-    /// Record one main-table mutation: bump the epoch and fold the change
-    /// into the delta overlay (or rebuild outright — spilled keys force
-    /// hash-map serving, and an oversized overlay is amortized away).
-    fn note_mutation(&mut self, key: TableKey, staged: Option<Vec<u64>>) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.layout.is_none() {
-            // Hash-map serving: `main` is probed directly, so there is
-            // nothing to overlay. `flush_layout` re-attempts the build.
-            return;
-        }
-        if matches!(key, TableKey::Spilled(_)) {
-            // Invariant: an active layout means every resident *and*
-            // overlaid key is inline. Rebuild now (which bails to map
-            // serving) rather than track spilled keys in the delta.
-            self.rebuild_layout();
-            return;
-        }
-        self.delta.insert(key, staged);
-        if self.delta.len() >= LAYOUT_DELTA_MAX.max(self.main.len() / 8) {
-            self.rebuild_layout();
+    /// Make room for `additional` more exact-match entries (at most up to
+    /// the table's capacity), so a bulk install grows the slot array at
+    /// most once.
+    pub fn reserve(&mut self, additional: usize) {
+        let additional = additional.min(self.capacity.saturating_sub(self.slots.len));
+        if self.lpm.is_none() && additional > 0 && self.slots.reserve(additional) {
+            self.stats.rebuilds.inc();
         }
     }
 
@@ -666,8 +612,7 @@ impl RtTable {
     pub fn make_lpm(&mut self, key_width: u8) {
         self.lpm = Some(Box::new(LpmTable {
             index: LpmIndex::new(key_width),
-            order: VecDeque::new(),
-            next_stamp: 0,
+            order: FifoOrder::default(),
         }));
     }
 
@@ -718,30 +663,19 @@ impl RtTable {
         // Cache mode: drop the oldest installed entries until one slot
         // frees up.
         while lpm.index.len() >= capacity {
-            let (p, l, stamp) = lpm
+            let (p, l) = lpm
                 .order
-                .pop_front()
+                .pop_oldest(|r, s| lpm_live(&lpm.index, r, s))
                 .expect("every resident entry has a live order record");
-            if lpm.is_live(p, l, stamp) {
-                lpm.index.remove(p, l);
-                evicted.push((p, l));
-            }
+            lpm.index.remove(p, l);
+            evicted.push((p, l));
         }
-        let stamp = lpm.next_stamp;
-        lpm.next_stamp += 1;
+        let stamp = lpm.order.push((prefix, len));
         lpm.index
             .insert(prefix, len, LpmSlot { value, stamp })
             .expect("length checked by canonical");
-        lpm.order.push_back((prefix, len, stamp));
-        if lpm.order.len() > 2 * lpm.index.len() + 16 {
-            // Re-installs leave stale records behind; dropping them here
-            // keeps the queue within a constant factor of the table.
-            let live = std::mem::take(&mut lpm.order);
-            lpm.order = live
-                .into_iter()
-                .filter(|&(p, l, s)| lpm.is_live(p, l, s))
-                .collect();
-        }
+        lpm.order
+            .compact(lpm.index.len(), |r, s| lpm_live(&lpm.index, r, s));
         self.stats.evictions.add(evicted.len() as u64);
         Ok(evicted)
     }
@@ -751,6 +685,7 @@ impl RtTable {
     pub fn make_cache(&mut self, capacity: usize) {
         self.capacity = capacity;
         self.evict_fifo = true;
+        self.slots.set_stamped();
     }
 
     /// Is this table operating as a cache?
@@ -788,97 +723,58 @@ impl RtTable {
             let k = key.first().copied().unwrap_or(0);
             return lpm.index.get(k).map(|slot| slot.value.as_slice());
         }
-        // Exact-match probes: keys that fit the inline lanes are rebuilt as
-        // a stack-only `TableKey` so the hash maps' equality checks run the
-        // word-parallel inline compare (hashing still goes through the
-        // shared slice `Hash` impl, so buckets agree with `Borrow<[u64]>`
-        // probes). Wider keys keep the allocation-free slice probe.
-        //
-        // Probe order: write-back shadow (only while the visibility bit is
-        // set) → delta overlay (one `is_empty` branch when no mutation is
-        // outstanding) → single perfect-hash layout probe. Tables without
-        // an active layout (spilled keys, displacement failure) fall back
-        // to the main hash map.
-        if key.len() <= INLINE_KEY_WORDS {
-            // The stack-only probe key is built lazily inside each cold
-            // branch: the steady state (write-back bit clear, delta
-            // folded, layout active) goes straight to the single
-            // perfect-hash probe without copying the key words at all.
-            if wb_active {
-                if let Some(staged) = self.shadow.get(&TableKey::from(key)) {
-                    return staged.as_deref();
-                }
-            }
-            if let Some(layout) = &self.layout {
-                if !self.delta.is_empty() {
-                    if let Some(staged) = self.delta.get(&TableKey::from(key)) {
-                        return staged.as_deref();
-                    }
-                }
-                self.stats.probes.inc();
-                return layout.get(key);
-            }
-            return self.main.get(&TableKey::from(key)).map(Vec::as_slice);
-        }
+        // Write-back shadow first, only while the visibility bit is set;
+        // then one probe of the slot array.
         if wb_active {
             if let Some(staged) = self.shadow.get(key) {
                 return staged.as_deref();
             }
         }
-        if self.layout.is_some() {
-            // An active layout guarantees every resident key is inline
-            // (spilled inserts rebuild immediately), so a wide probe is a
-            // definite miss.
-            self.stats.probes.inc();
-            return None;
-        }
-        self.main.get(key).map(Vec::as_slice)
+        self.stats.probes.inc();
+        self.slots.find(key).map(|at| self.slots.value_at(at))
     }
 
-    /// Control-plane insert/overwrite into the main table. When the table
-    /// is full: caches evict their oldest entry (FIFO) and return the
-    /// displaced keys so the control plane can track what fell out;
-    /// ordinary tables reject the insert with a typed error.
-    pub fn insert_main(
-        &mut self,
-        key: Vec<u64>,
-        value: Vec<u64>,
-    ) -> Result<Vec<Vec<u64>>, TableError> {
+    /// Control-plane insert/overwrite into the main table, copying `key`
+    /// and `value` into the entry's slot. When the table is full: caches
+    /// evict their oldest entry (FIFO) and return the displaced keys so
+    /// the control plane can track what fell out; ordinary tables reject
+    /// the insert with a typed error. An overwrite keeps the key's FIFO
+    /// position. Allocates only when the slot array grows or widens, or
+    /// to report evictions.
+    pub fn insert_main(&mut self, key: &[u64], value: &[u64]) -> Result<Vec<Vec<u64>>, TableError> {
         let mut evicted = Vec::new();
-        // One containment probe up front: the eviction loop below only runs
-        // when `key` is absent and can only displace *other* keys, so the
-        // answer cannot change before the insert.
-        let present = self.main.contains_key(key.as_slice());
-        if !present && self.main.len() >= self.capacity {
-            if !self.evict_fifo {
-                return Err(TableError::CapacityExceeded {
-                    capacity: self.capacity,
-                });
-            }
-            while self.main.len() >= self.capacity {
-                match self.order.pop_front() {
-                    Some(old) => {
-                        self.main.remove(old.as_slice());
-                        self.note_mutation(old.clone(), None);
-                        evicted.push(old.to_vec());
-                    }
-                    None => {
+        let present = self.slots.find(key).is_some();
+        let mut stamp = 0;
+        if !present {
+            if self.slots.len >= self.capacity {
+                if !self.evict_fifo {
+                    return Err(TableError::CapacityExceeded {
+                        capacity: self.capacity,
+                    });
+                }
+                while self.slots.len >= self.capacity {
+                    let slots = &self.slots;
+                    let Some(old) = self.order.pop_oldest(|k, s| exact_live(slots, k, s)) else {
                         return Err(TableError::CapacityExceeded {
                             capacity: self.capacity,
-                        }); // capacity 0
-                    }
+                        });
+                    };
+                    self.slots.remove(&old);
+                    evicted.push(old);
                 }
             }
+            if self.evict_fifo {
+                stamp = self.order.push(key.to_vec());
+            }
         }
-        let key = TableKey::from(key);
-        if self.evict_fifo && !present {
-            // FIFO position is fixed at *first* insert: re-inserting or
-            // overwriting an existing key must not refresh (or duplicate)
-            // its slot in the order queue.
-            self.order.push_back(key.clone());
+        if self.slots.put(key, value, stamp) {
+            self.stats.rebuilds.inc();
         }
-        self.main.insert(key.clone(), value.clone());
-        self.note_mutation(key, Some(value));
+        if stamp != 0 {
+            let slots = &self.slots;
+            self.order
+                .compact(slots.len, |k, s| exact_live(slots, k, s));
+        }
         self.stats.evictions.add(evicted.len() as u64);
         Ok(evicted)
     }
@@ -890,44 +786,56 @@ impl RtTable {
     /// would resurrect the key at the next write-back commit (and keep
     /// serving it while the visibility bit is set).
     pub fn delete_main(&mut self, key: &[u64]) {
-        self.main.remove(key);
+        self.slots.remove(key);
         self.shadow.remove(key);
-        self.note_mutation(TableKey::from(key), None);
-        if self.evict_fifo {
-            self.order.retain(|k| k.as_slice() != key);
-        }
     }
 
     /// Stage an update (or a `None` tombstone) in the shadow.
     pub fn stage(&mut self, key: Vec<u64>, value: Option<Vec<u64>>) {
-        self.shadow.insert(TableKey::from(key), value);
+        self.shadow.insert(key, value);
     }
 
     /// Drain the shadow, returning the staged updates (used when folding
     /// them into the main table).
     pub fn drain_shadow(&mut self) -> Vec<(Vec<u64>, Option<Vec<u64>>)> {
-        self.shadow.drain().map(|(k, v)| (k.to_vec(), v)).collect()
+        self.shadow.drain().collect()
     }
 
-    /// Snapshot of the main entries (sorted by key for determinism).
+    /// Snapshot of the resident entries, sorted by key for determinism.
+    /// An LPM entry reads back as key `[canonical prefix, prefix length]`.
     pub fn entries(&self) -> Vec<(Vec<u64>, Vec<u64>)> {
-        let mut v: Vec<_> = self
-            .main
-            .iter()
-            .map(|(k, val)| (k.to_vec(), val.clone()))
-            .collect();
-        v.sort();
+        let mut v: Vec<_> = match &self.lpm {
+            Some(lpm) => lpm
+                .index
+                .iter()
+                .map(|(p, l, slot)| (vec![p, u64::from(l)], slot.value.clone()))
+                .collect(),
+            None => self
+                .slots
+                .occupied()
+                .map(|at| {
+                    (
+                        self.slots.key_at(at).to_vec(),
+                        self.slots.value_at(at).to_vec(),
+                    )
+                })
+                .collect(),
+        };
+        v.sort_unstable();
         v
     }
 
-    /// Number of main entries.
+    /// Number of resident entries (exact-match or LPM).
     pub fn len(&self) -> usize {
-        self.main.len()
+        match &self.lpm {
+            Some(lpm) => lpm.index.len(),
+            None => self.slots.len,
+        }
     }
 
-    /// True when the main table is empty.
+    /// True when no entry is resident.
     pub fn is_empty(&self) -> bool {
-        self.main.is_empty()
+        self.len() == 0
     }
 
     /// Number of staged (shadow) entries.
@@ -943,7 +851,7 @@ mod tests {
     #[test]
     fn lookup_ignores_shadow_when_bit_clear() {
         let mut t = RtTable::new(8);
-        t.insert_main(vec![1], vec![10]).unwrap();
+        t.insert_main(&[1], &[10]).unwrap();
         t.stage(vec![1], Some(vec![99]));
         assert_eq!(t.lookup(&[1], false), Some(vec![10]));
         assert_eq!(t.lookup(&[1], true), Some(vec![99]));
@@ -952,7 +860,7 @@ mod tests {
     #[test]
     fn tombstone_negates_main() {
         let mut t = RtTable::new(8);
-        t.insert_main(vec![1], vec![10]).unwrap();
+        t.insert_main(&[1], &[10]).unwrap();
         t.stage(vec![1], None);
         assert_eq!(t.lookup(&[1], true), None);
         assert_eq!(t.lookup(&[1], false), Some(vec![10]));
@@ -969,14 +877,14 @@ mod tests {
     #[test]
     fn capacity_enforced() {
         let mut t = RtTable::new(2);
-        assert_eq!(t.insert_main(vec![1], vec![1]), Ok(vec![]));
-        assert_eq!(t.insert_main(vec![2], vec![2]), Ok(vec![]));
+        assert_eq!(t.insert_main(&[1], &[1]), Ok(vec![]));
+        assert_eq!(t.insert_main(&[2], &[2]), Ok(vec![]));
         assert_eq!(
-            t.insert_main(vec![3], vec![3]),
+            t.insert_main(&[3], &[3]),
             Err(TableError::CapacityExceeded { capacity: 2 })
         );
         // Overwriting an existing key is allowed at capacity.
-        assert_eq!(t.insert_main(vec![2], vec![22]), Ok(vec![]));
+        assert_eq!(t.insert_main(&[2], &[22]), Ok(vec![]));
         assert_eq!(t.len(), 2);
         assert_eq!(t.stats.evictions.get(), 0);
     }
@@ -985,23 +893,23 @@ mod tests {
     fn cache_evicts_fifo() {
         let mut t = RtTable::new(8);
         t.make_cache(2);
-        assert_eq!(t.insert_main(vec![1], vec![1]), Ok(vec![]));
-        assert_eq!(t.insert_main(vec![2], vec![2]), Ok(vec![]));
+        assert_eq!(t.insert_main(&[1], &[1]), Ok(vec![]));
+        assert_eq!(t.insert_main(&[2], &[2]), Ok(vec![]));
         // Evicts key 1 — the displaced key comes back to the caller.
-        assert_eq!(t.insert_main(vec![3], vec![3]), Ok(vec![vec![1]]));
+        assert_eq!(t.insert_main(&[3], &[3]), Ok(vec![vec![1]]));
         assert_eq!(t.len(), 2);
         assert_eq!(t.stats.evictions.get(), 1);
         assert_eq!(t.lookup(&[1], false), None);
         assert_eq!(t.lookup(&[2], false), Some(vec![2]));
         assert_eq!(t.lookup(&[3], false), Some(vec![3]));
         // Overwrite does not evict.
-        assert_eq!(t.insert_main(vec![2], vec![22]), Ok(vec![]));
+        assert_eq!(t.insert_main(&[2], &[22]), Ok(vec![]));
         assert_eq!(t.len(), 2);
         // Deleting keeps the order queue consistent.
         t.delete_main(&[2]);
-        assert_eq!(t.insert_main(vec![4], vec![4]), Ok(vec![]));
+        assert_eq!(t.insert_main(&[4], &[4]), Ok(vec![]));
         // Evicts 3, not the already-deleted 2.
-        assert_eq!(t.insert_main(vec![5], vec![5]), Ok(vec![vec![3]]));
+        assert_eq!(t.insert_main(&[5], &[5]), Ok(vec![vec![3]]));
         assert_eq!(t.lookup(&[3], false), None);
         assert_eq!(t.lookup(&[4], false), Some(vec![4]));
         assert_eq!(t.stats.evictions.get(), 2);
@@ -1010,7 +918,7 @@ mod tests {
     #[test]
     fn lookup_ref_agrees_with_owned_lookup() {
         let mut t = RtTable::new(8);
-        t.insert_main(vec![1], vec![10, 11]).unwrap();
+        t.insert_main(&[1], &[10, 11]).unwrap();
         t.stage(vec![2], Some(vec![20]));
         t.stage(vec![1], None);
         for (key, wb) in [(1u64, false), (1, true), (2, false), (2, true), (3, false)] {
@@ -1038,7 +946,7 @@ mod tests {
     #[test]
     fn lookup_counts_hits_and_misses() {
         let mut t = RtTable::new(8);
-        t.insert_main(vec![1], vec![10]).unwrap();
+        t.insert_main(&[1], &[10]).unwrap();
         assert!(t.lookup(&[1], false).is_some());
         assert!(t.lookup(&[2], false).is_none());
         assert!(t.lookup(&[1], false).is_some());
@@ -1136,49 +1044,21 @@ mod tests {
         // its slot in the eviction order queue.
         let mut t = RtTable::new(8);
         t.make_cache(2);
-        assert_eq!(t.insert_main(vec![10], vec![1]), Ok(vec![]));
-        assert_eq!(t.insert_main(vec![20], vec![2]), Ok(vec![]));
+        assert_eq!(t.insert_main(&[10], &[1]), Ok(vec![]));
+        assert_eq!(t.insert_main(&[20], &[2]), Ok(vec![]));
         // Overwrite the oldest key twice; its order slot must not move.
-        assert_eq!(t.insert_main(vec![10], vec![11]), Ok(vec![]));
-        assert_eq!(t.insert_main(vec![10], vec![12]), Ok(vec![]));
+        assert_eq!(t.insert_main(&[10], &[11]), Ok(vec![]));
+        assert_eq!(t.insert_main(&[10], &[12]), Ok(vec![]));
         assert_eq!(t.len(), 2);
         // Next distinct key evicts 10 (first-insert order), not 20.
-        assert_eq!(t.insert_main(vec![30], vec![3]), Ok(vec![vec![10]]));
+        assert_eq!(t.insert_main(&[30], &[3]), Ok(vec![vec![10]]));
         // And the following one evicts exactly 20 — if the overwrite had
         // duplicated 10's slot, a stale queue entry would surface here.
-        assert_eq!(t.insert_main(vec![40], vec![4]), Ok(vec![vec![20]]));
-        assert_eq!(t.insert_main(vec![50], vec![5]), Ok(vec![vec![30]]));
+        assert_eq!(t.insert_main(&[40], &[4]), Ok(vec![vec![20]]));
+        assert_eq!(t.insert_main(&[50], &[5]), Ok(vec![vec![30]]));
         assert_eq!(t.lookup(&[40], false), Some(vec![4]));
         assert_eq!(t.lookup(&[50], false), Some(vec![5]));
         assert_eq!(t.stats.evictions.get(), 3);
-    }
-
-    #[test]
-    fn table_key_inline_and_spilled_agree_with_slices() {
-        use std::collections::hash_map::DefaultHasher;
-
-        let narrow = TableKey::from(vec![1, 2, 3]);
-        assert!(matches!(narrow, TableKey::Inline { len: 3, .. }));
-        let wide = TableKey::from(vec![1, 2, 3, 4, 5, 6]);
-        assert!(matches!(wide, TableKey::Spilled(_)));
-        assert_eq!(narrow.as_slice(), &[1, 2, 3]);
-        assert_eq!(wide.as_slice(), &[1, 2, 3, 4, 5, 6]);
-        assert!(!narrow.is_empty());
-        assert_eq!(TableKey::from(vec![]).len(), 0);
-
-        // Hash must agree with `<[u64] as Hash>` (the Borrow contract).
-        for key in [narrow, wide] {
-            let mut a = DefaultHasher::new();
-            key.hash(&mut a);
-            let mut b = DefaultHasher::new();
-            key.as_slice().hash(&mut b);
-            assert_eq!(a.finish(), b.finish());
-        }
-
-        // Padding words beyond `len` never leak into equality.
-        let k2 = TableKey::from(vec![1, 2]);
-        let k3 = TableKey::from(vec![1, 2, 0]);
-        assert_ne!(k2, k3);
     }
 
     #[test]
@@ -1197,21 +1077,6 @@ mod tests {
         kb.clear();
         kb.push(9);
         assert_eq!(kb.as_slice(), &[9]);
-    }
-
-    #[test]
-    fn wide_keys_round_trip_through_table() {
-        // Keys wider than INLINE_KEY_WORDS take the Spilled fallback but
-        // behave identically.
-        let mut t = RtTable::new(4);
-        let k = vec![1u64, 2, 3, 4, 5, 6];
-        t.insert_main(k.clone(), vec![42]).unwrap();
-        assert_eq!(t.lookup(&k, false), Some(vec![42]));
-        assert_eq!(t.entries(), vec![(k.clone(), vec![42])]);
-        t.stage(k.clone(), None);
-        assert_eq!(t.lookup(&k, true), None);
-        t.delete_main(&k);
-        assert!(t.is_empty());
     }
 
     #[test]
@@ -1247,7 +1112,7 @@ mod tests {
         // serving the key while the write-back bit is set and resurrect it
         // when the commit folds the shadow into main.
         let mut t = RtTable::new(8);
-        t.insert_main(vec![1], vec![10]).unwrap();
+        t.insert_main(&[1], &[10]).unwrap();
         t.stage(vec![1], Some(vec![99]));
         t.delete_main(&[1]);
         assert_eq!(t.lookup(&[1], false), None);
@@ -1286,90 +1151,6 @@ mod tests {
     }
 
     #[test]
-    fn layout_serves_lookups_and_rebuilds_on_mutation() {
-        let mut t = RtTable::new(1 << 12);
-        assert!(t.layout_active());
-        for i in 0..200u64 {
-            t.insert_main(vec![i, i + 1], vec![i * 10]).unwrap();
-        }
-        t.flush_layout();
-        assert_eq!(t.pending_delta(), 0);
-        let probes_before = t.stats.probes.get();
-        for i in 0..200u64 {
-            assert_eq!(t.lookup(&[i, i + 1], false), Some(vec![i * 10]));
-        }
-        assert_eq!(t.lookup(&[999, 999], false), None);
-        assert_eq!(t.stats.probes.get() - probes_before, 201);
-        assert!(t.stats.rebuilds.get() > 0);
-
-        // Mutations are visible immediately through the delta overlay…
-        t.insert_main(vec![7, 8], vec![777]).unwrap();
-        t.delete_main(&[3, 4]);
-        assert!(t.pending_delta() > 0);
-        assert_eq!(t.lookup(&[7, 8], false), Some(vec![777]));
-        assert_eq!(t.lookup(&[3, 4], false), None);
-        // …and survive the flush-time rebuild bit-identically.
-        t.flush_layout();
-        assert_eq!(t.pending_delta(), 0);
-        assert_eq!(t.lookup(&[7, 8], false), Some(vec![777]));
-        assert_eq!(t.lookup(&[3, 4], false), None);
-        assert_eq!(t.lookup(&[5, 6], false), Some(vec![50]));
-        // `flush_layout` with no outstanding mutation is a no-op.
-        let rebuilds = t.stats.rebuilds.get();
-        t.flush_layout();
-        assert_eq!(t.stats.rebuilds.get(), rebuilds);
-    }
-
-    #[test]
-    fn spilled_keys_fall_back_to_map_serving() {
-        let mut t = RtTable::new(16);
-        t.insert_main(vec![1], vec![10]).unwrap();
-        assert!(t.layout_active());
-        let wide = vec![1u64, 2, 3, 4, 5, 6];
-        t.insert_main(wide.clone(), vec![42]).unwrap();
-        assert!(!t.layout_active());
-        assert_eq!(t.lookup(&wide, false), Some(vec![42]));
-        assert_eq!(t.lookup(&[1], false), Some(vec![10]));
-        t.flush_layout();
-        assert!(!t.layout_active());
-        // Deleting the spilled key lets the next flush restore the layout.
-        t.delete_main(&wide);
-        t.flush_layout();
-        assert!(t.layout_active());
-        assert_eq!(t.lookup(&[1], false), Some(vec![10]));
-        assert_eq!(t.lookup(&wide, false), None);
-    }
-
-    #[test]
-    fn layout_respects_shadow_and_tombstones() {
-        let mut t = RtTable::new(8);
-        t.insert_main(vec![1], vec![10]).unwrap();
-        t.flush_layout();
-        t.stage(vec![1], None);
-        t.stage(vec![2], Some(vec![20]));
-        assert_eq!(t.lookup(&[1], true), None);
-        assert_eq!(t.lookup(&[2], true), Some(vec![20]));
-        assert_eq!(t.lookup(&[1], false), Some(vec![10]));
-        assert_eq!(t.lookup(&[2], false), None);
-    }
-
-    #[test]
-    fn layout_distinguishes_prefix_keys_and_empty_values() {
-        // `[1]` vs `[1, 0]` differ only in length; an empty value is a hit
-        // that must not read as a miss.
-        let mut t = RtTable::new(8);
-        t.insert_main(vec![1], vec![10]).unwrap();
-        t.insert_main(vec![1, 0], vec![20]).unwrap();
-        t.insert_main(vec![], vec![]).unwrap();
-        t.flush_layout();
-        assert!(t.layout_active());
-        assert_eq!(t.lookup(&[1], false), Some(vec![10]));
-        assert_eq!(t.lookup(&[1, 0], false), Some(vec![20]));
-        assert_eq!(t.lookup(&[], false), Some(vec![]));
-        assert_eq!(t.lookup(&[0, 1], false), None);
-    }
-
-    #[test]
     fn drain_shadow_empties_it() {
         let mut t = RtTable::new(8);
         t.stage(vec![1], Some(vec![1]));
@@ -1378,5 +1159,211 @@ mod tests {
         drained.sort();
         assert_eq!(drained.len(), 2);
         assert_eq!(t.shadow_len(), 0);
+    }
+
+    #[test]
+    fn store_distinguishes_prefix_keys_and_empty_values() {
+        // `[1]` vs `[1, 0]` differ only in length; an empty value is a hit
+        // that must not read as a miss.
+        let mut t = RtTable::new(8);
+        t.insert_main(&[1], &[10]).unwrap();
+        t.insert_main(&[1, 0], &[20]).unwrap();
+        t.insert_main(&[], &[]).unwrap();
+        assert_eq!(t.lookup(&[1], false), Some(vec![10]));
+        assert_eq!(t.lookup(&[1, 0], false), Some(vec![20]));
+        assert_eq!(t.lookup(&[], false), Some(vec![]));
+        assert_eq!(t.lookup(&[0, 1], false), None);
+        // A shorter value overwrites a longer one exactly.
+        t.insert_main(&[1, 0], &[7, 8, 9]).unwrap();
+        t.insert_main(&[1, 0], &[5]).unwrap();
+        assert_eq!(t.lookup(&[1, 0], false), Some(vec![5]));
+    }
+
+    #[test]
+    fn store_grows_by_doubling_and_counts_only_growths() {
+        let mut t = RtTable::new(1 << 16);
+        assert_eq!(t.slots.words.capacity(), 0, "new tables allocate nothing");
+        for i in 0..1000u64 {
+            t.insert_main(&[i, !i], &[i * 10]).unwrap();
+        }
+        // 8 → 16 → … → 2048 slots: eight growths that moved entries (the
+        // first allocation moved none).
+        assert_eq!(t.slots.mask + 1, 2048);
+        assert_eq!(t.stats.rebuilds.get(), 8);
+        for i in 0..1000u64 {
+            t.delete_main(&[i, !i]);
+        }
+        // Deletes never shrink, and churn within the size never re-lays out.
+        assert!(t.is_empty());
+        for round in 0..4u64 {
+            for i in 0..1000u64 {
+                t.insert_main(&[i, round], &[i]).unwrap();
+            }
+            for i in 0..1000u64 {
+                t.delete_main(&[i, round]);
+            }
+        }
+        assert_eq!(t.slots.mask + 1, 2048);
+        assert_eq!(t.stats.rebuilds.get(), 8);
+        // A reserved bulk load grows once, up front.
+        let mut r = RtTable::new(1 << 16);
+        r.reserve(60_000);
+        for i in 0..60_000u64 {
+            r.insert_main(&[i], &[i]).unwrap();
+        }
+        assert_eq!(r.stats.rebuilds.get(), 0);
+        assert_eq!(r.len(), 60_000);
+    }
+
+    #[test]
+    fn backward_shift_keeps_every_run_reachable() {
+        // A tiny array forced into long runs: delete from the middle,
+        // front and back of runs and check every survivor still answers.
+        let mut t = RtTable::new(64);
+        let keys: Vec<u64> = (0..7).collect();
+        for &k in &keys {
+            t.insert_main(&[k], &[k + 100]).unwrap();
+        }
+        assert_eq!(t.slots.mask + 1, 8, "7 of 8 slots full: every run wraps");
+        let mut resident: Vec<u64> = keys.clone();
+        for &k in &[3u64, 0, 6, 1] {
+            t.delete_main(&[k]);
+            resident.retain(|&r| r != k);
+            for &r in &resident {
+                assert_eq!(
+                    t.lookup(&[r], false),
+                    Some(vec![r + 100]),
+                    "after deleting {k}"
+                );
+            }
+            assert_eq!(t.lookup(&[k], false), None);
+            // No tombstones: every occupied slot is at its home or reached
+            // through occupied slots.
+            for at in t.slots.occupied() {
+                let i = at / t.slots.stride;
+                let d = dist_of(t.slots.words[at]) as usize;
+                for back in 1..=d {
+                    let j = (i + t.slots.mask + 1 - back) & t.slots.mask;
+                    assert_ne!(t.slots.words[j * t.slots.stride], 0);
+                }
+            }
+        }
+        assert_eq!(t.len(), resident.len());
+    }
+
+    /// Largest probe distance over the resident slots.
+    fn max_dist(t: &RtTable) -> u64 {
+        t.slots
+            .occupied()
+            .map(|at| dist_of(t.slots.words[at]))
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn keys_of_real_shapes_spread_over_the_array() {
+        // NAT 4-tuples whose high words are constant (one client subnet,
+        // one server, ports counting up) and LB (saddr, VIP, ports, proto)
+        // keys: the high bits of the multiplied hash must spread them, or
+        // probe runs grow with the table.
+        let mut nat = RtTable::new(1 << 17);
+        nat.reserve(60_000);
+        for i in 0..60_000u64 {
+            nat.insert_main(
+                &[0x0A00_0000 | (i >> 8), 0x0A09_0001, 1024 + i % 50_000, 80],
+                &[i],
+            )
+            .unwrap();
+        }
+        let mut nat_in = RtTable::new(1 << 17);
+        for i in 0..60_000u64 {
+            nat_in.insert_main(&[i], &[0x0A00_0000, i]).unwrap();
+        }
+        let mut lb = RtTable::new(1 << 16);
+        for i in 0..512u64 {
+            lb.insert_main(
+                &[0x0A00_0000 + i, 0x0A09_0001, (40_000 + i) << 16 | 80, 6],
+                &[i],
+            )
+            .unwrap();
+        }
+        for (name, t) in [("nat_out", &nat), ("nat_in", &nat_in), ("lb", &lb)] {
+            let mean = t
+                .slots
+                .occupied()
+                .map(|at| dist_of(t.slots.words[at]))
+                .sum::<u64>() as f64
+                / t.len() as f64;
+            assert!(mean < 2.0, "{name}: mean probe distance {mean}");
+            assert!(
+                max_dist(t) < 32,
+                "{name}: max probe distance {}",
+                max_dist(t)
+            );
+        }
+    }
+
+    #[test]
+    fn wide_keys_and_values_widen_the_one_store() {
+        let mut t = RtTable::new(16);
+        t.insert_main(&[1], &[10]).unwrap();
+        let wide = [1u64, 2, 3, 4, 5, 6];
+        t.insert_main(&wide, &[1, 2, 3]).unwrap();
+        assert_eq!(t.slots.key_lanes, 6);
+        assert_eq!(t.slots.val_lanes, 3);
+        assert_eq!(t.stats.rebuilds.get(), 1, "one stride widening");
+        assert_eq!(t.lookup(&wide, false), Some(vec![1, 2, 3]));
+        assert_eq!(t.lookup(&[1], false), Some(vec![10]));
+        assert_eq!(t.lookup(&[1, 2, 3, 4, 5, 6, 7], false), None);
+        t.stage(wide.to_vec(), None);
+        assert_eq!(t.lookup(&wide, true), None);
+        t.delete_main(&wide);
+        assert_eq!(t.lookup(&wide, false), None);
+        assert_eq!(t.entries(), vec![(vec![1], vec![10])]);
+    }
+
+    #[test]
+    fn cache_made_after_inserts_never_evicts_unrecorded_entries() {
+        let mut t = RtTable::new(8);
+        t.insert_main(&[1], &[1]).unwrap();
+        t.make_cache(2);
+        assert_eq!(t.insert_main(&[2], &[2]), Ok(vec![]));
+        // Key 1 has no order record; key 2 is the oldest recorded entry.
+        assert_eq!(t.insert_main(&[3], &[3]), Ok(vec![vec![2]]));
+        assert_eq!(t.lookup(&[1], false), Some(vec![1]));
+        // Re-inserting a deleted key stamps it anew: its stale record must
+        // not evict it early.
+        t.delete_main(&[3]);
+        assert_eq!(t.insert_main(&[4], &[4]), Ok(vec![]));
+        assert_eq!(t.insert_main(&[3], &[3]), Ok(vec![vec![4]]));
+        assert_eq!(t.lookup(&[3], false), Some(vec![3]));
+    }
+
+    #[test]
+    fn cache_order_queue_stays_bounded_under_churn() {
+        let mut t = RtTable::new(8);
+        t.make_cache(4);
+        for i in 0..10_000u64 {
+            t.insert_main(&[i % 6], &[i]).unwrap();
+            t.delete_main(&[i % 6]);
+        }
+        assert!(t.order.records.len() <= 2 * t.len() + 17);
+    }
+
+    #[test]
+    fn lpm_tables_read_back() {
+        let mut t = RtTable::new(8);
+        t.make_lpm(32);
+        assert!(t.is_empty());
+        t.lpm_insert(0x0a0b_0c0d, 8, vec![1]).unwrap();
+        t.lpm_insert(0x0a0b_0000, 16, vec![2]).unwrap();
+        assert_eq!(t.len(), 2);
+        assert_eq!(
+            t.entries(),
+            vec![
+                (vec![0x0a00_0000, 8], vec![1]),
+                (vec![0x0a0b_0000, 16], vec![2])
+            ]
+        );
     }
 }

@@ -114,10 +114,10 @@ pub const PLAN_EXPR_FUSED: &str = "gallium.switchsim.plan.expr.fused";
 /// Dead micro-ops and metadata stores eliminated at plan build.
 pub const PLAN_EXPR_DEAD_OPS: &str = "gallium.switchsim.plan.expr.dead_ops";
 
-/// Perfect-hash read-layout rebuilds across all tables.
+/// Slot-array growths (whole-array re-layouts that moved resident
+/// entries) across all exact-match tables.
 pub const TABLE_REBUILDS: &str = "gallium.switchsim.table.rebuilds";
-/// Exact-match probes served by the perfect-hash read layout across all
-/// tables.
+/// Exact-match probes of the tables' slot arrays, across all tables.
 pub const TABLE_PROBES: &str = "gallium.switchsim.table.probe";
 
 /// Prefix of the per-table counter family

@@ -182,50 +182,59 @@ fn warm_fast_path_with_recorder_is_allocation_free() {
 }
 
 #[test]
-fn rebuilt_layout_lookups_are_allocation_free() {
-    // The PR 10 contract: control-plane churn buffers into the delta
-    // overlay and is folded into a fresh perfect-hash layout by
-    // `flush_layout`; once rebuilt, the lookup path (prefetch + probe)
-    // acquires no memory at all — rebuild cost lives entirely on the
-    // control-plane side.
+fn in_place_churn_is_allocation_free() {
+    // The exact-match store is written in place: once the slot array has
+    // grown to hold the working set, control-plane inserts and deletes
+    // copy key and value words into slots and shift runs, and lookups
+    // (prefetch + probe) read them — none of it acquires memory.
     use gallium::switchsim::RtTable;
 
-    let mut t = RtTable::new(64);
-    for i in 0..48u64 {
-        t.insert_main(vec![i, i ^ 0xdead], vec![i * 3]).unwrap();
+    let mut t = RtTable::new(1 << 16);
+    let key = |i: u64| [0x0A00_0000 | i, 0x0A09_0001, (40_000 + i) << 16 | 80, 6];
+    // Warm-up: grow to the working set once, then empty the table.
+    for i in 0..512u64 {
+        t.insert_main(&key(i), &[i]).unwrap();
     }
-    // Churn past the overlay threshold so at least one incremental
-    // rebuild fires, then flush to fold the remainder.
-    for i in 0..16u64 {
-        t.delete_main(&[i, i ^ 0xdead]);
+    for i in 0..512u64 {
+        t.delete_main(&key(i));
     }
-    for i in 0..8u64 {
-        t.insert_main(vec![i, i ^ 0xdead], vec![i * 5]).unwrap();
-    }
-    t.flush_layout();
-    assert!(t.layout_active(), "inline keys must serve from the layout");
-    assert_eq!(t.pending_delta(), 0, "flush folds the whole overlay");
+    let rebuilds = t.stats.rebuilds.get();
 
-    let keys: Vec<Vec<u64>> = (0..48u64).map(|i| vec![i, i ^ 0xdead]).collect();
     let mut hits = 0u64;
     let before = allocs();
-    for _ in 0..64 {
-        for k in &keys {
-            t.prefetch(k);
-            if t.lookup_ref(k, false).is_some() {
+    for round in 0..64u64 {
+        for i in 0..400u64 {
+            let k = key(i);
+            t.insert_main(&k, &[i + round]).unwrap();
+            t.prefetch(&k);
+            if t.lookup_ref(&k, false) == Some(&[i + round][..]) {
                 hits += 1;
             }
+            if i % 3 == 0 {
+                t.delete_main(&key(i / 2));
+            }
+        }
+        for i in 0..400u64 {
+            t.delete_main(&key(i));
         }
     }
     let after = allocs();
     assert_eq!(
         after - before,
         0,
-        "rebuilt-layout lookups allocated {} times",
+        "in-place churn allocated {} times",
         after - before
     );
-    // 48 inserted − 16 deleted + 8 reinserted ⇒ 40 resident per pass.
-    assert_eq!(hits, 64 * 40, "sweep really hit the resident set");
+    assert_eq!(
+        hits,
+        64 * 400,
+        "every insert was visible to the next lookup"
+    );
+    assert_eq!(
+        t.stats.rebuilds.get(),
+        rebuilds,
+        "the churn never re-laid out"
+    );
 }
 
 #[test]

@@ -202,3 +202,46 @@ fn unannotated_lpm_stays_on_server() {
     assert!(!compiled.staged.fully_offloaded());
     assert!(compiled.p4.tables.is_empty());
 }
+
+#[test]
+fn switch_side_respelled_route_breaks_consistency() {
+    // The switch's LPM table reads back: after provisioning 10.0.0.0/8 → A,
+    // installing another spelling of the same prefix (10.1.2.3/8 → B)
+    // directly on the switch replaces the route there but not in the
+    // server's store, and the consistency check must see the divergence.
+    use gallium::switchsim::ControlPlane;
+
+    let r = prefix_router();
+    let compiled = compile(&r.prog, &SwitchModel::tofino_like()).unwrap();
+    let mut d =
+        Deployment::new(&compiled, SwitchConfig::default(), CostModel::calibrated()).unwrap();
+    let r2 = r.clone();
+    d.configure(move |s| r2.add_route(s, parse_addr("10.0.0.0").unwrap(), 8, 0xAA))
+        .unwrap();
+    assert!(d.replicated_consistent());
+    let routes = d.switch.table("routes").unwrap();
+    assert_eq!(routes.len(), 1, "the configured route reads back");
+    let before = routes.entries();
+
+    let op = d.server.initial_sync().remove(0);
+    let gallium::p4::ControlPlaneOp::LpmInsert { table, value, .. } = op else {
+        panic!("the router provisions one LPM route, got {op:?}");
+    };
+    let mut other = value.clone();
+    other[0] ^= 0xFF;
+    d.switch
+        .control(&gallium::p4::ControlPlaneOp::LpmInsert {
+            table,
+            prefix: u64::from(parse_addr("10.1.2.3").unwrap()),
+            prefix_len: 8,
+            value: other,
+        })
+        .unwrap();
+    let routes = d.switch.table("routes").unwrap();
+    assert_eq!(routes.len(), 1, "the respelled prefix replaced the route");
+    assert_ne!(routes.entries(), before);
+    assert!(
+        !d.replicated_consistent(),
+        "a switch route that differs from the server's must be reported"
+    );
+}

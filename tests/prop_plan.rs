@@ -279,8 +279,8 @@ proptest! {
         )?;
     }
 
-    /// The inline-key table ([`TableKey`]'s `[u64; 4]` fast path plus the
-    /// spilled fallback for wider keys) must be observationally identical
+    /// The exact-match table (keys inline in the slot array, up to six
+    /// words here) must be observationally identical
     /// to a plain `Vec<u64>`-keyed map with an explicit FIFO queue — the
     /// exact data structure it replaced. Random op streams over a small
     /// key domain (widths 1..=6, so both representations are exercised)
@@ -305,7 +305,7 @@ proptest! {
             match op {
                 0 => {
                     let evicted = table
-                        .insert_main(key.clone(), vec![*val])
+                        .insert_main(key, &[*val])
                         .expect("cache-mode insert cannot fail");
                     // Model: FIFO position fixed at first insert.
                     let mut model_evicted = Vec::new();
@@ -383,90 +383,110 @@ proptest! {
         prop_assert!(bat.replicated_consistent(), "batch replicated state");
     }
 
-    /// The PR 10 read-optimized layout: a plain (non-cache) table serving
-    /// exact-match lookups through the hash-and-displace perfect-hash
-    /// layout — with its delta overlay, epoch tracking, and incremental
-    /// rebuilds — must stay bit-identical to a `HashMap` model under
-    /// random insert/delete/lookup/flush interleavings. Widths 1..=6
-    /// exercise both the inline fast path and the spilled fallback that
-    /// deactivates the layout (and its reactivation once the spilled key
-    /// is deleted and the layout rebuilt).
+    /// The in-place slot store (Robin-Hood insert, backward-shift delete,
+    /// doubling growth, stride widening) must stay bit-identical to a
+    /// `HashMap` model with an explicit FIFO queue and a shadow map, under
+    /// random interleavings of inserts, overwrites with values of other
+    /// widths, deletes, lookups with the write-back bit clear or set,
+    /// staged updates and tombstones, and shadow drains. Keys are 0–6
+    /// words over a small alphabet, so prefixes, wide keys and repeated
+    /// keys all occur; the three table modes are a roomy plain table (it
+    /// grows and forms long runs that deletes must close), a small plain
+    /// table that hits its capacity, and a small FIFO cache.
     #[test]
-    fn perfect_hash_layout_equals_map_model(
+    fn slot_store_equals_map_model(
+        mode in 0u8..3,
         ops in proptest::collection::vec(
-            (0u8..4, proptest::collection::vec(0u64..4, 1..=6), 0u64..100),
-            1..160,
+            (
+                0u8..7,
+                proptest::collection::vec(0u64..3, 0..=6),
+                proptest::collection::vec(0u64..100, 0..=3),
+            ),
+            1..240,
         )
     ) {
-        use std::collections::HashMap;
+        use std::collections::{HashMap, VecDeque};
 
-        const CAP: usize = 16;
-        let mut table = gallium::switchsim::RtTable::new(CAP);
+        let (cap, cache) = match mode {
+            0 => (1 << 16, false),
+            1 => (12, false),
+            _ => (5, true),
+        };
+        let mut table = gallium::switchsim::RtTable::new(cap);
+        if cache {
+            table.make_cache(cap);
+        }
         let mut model: HashMap<Vec<u64>, Vec<u64>> = HashMap::new();
+        let mut order: VecDeque<Vec<u64>> = VecDeque::new();
+        let mut shadow: HashMap<Vec<u64>, Option<Vec<u64>>> = HashMap::new();
+        let model_get = |model: &HashMap<Vec<u64>, Vec<u64>>,
+                         shadow: &HashMap<Vec<u64>, Option<Vec<u64>>>,
+                         key: &Vec<u64>,
+                         wb: bool| {
+            match shadow.get(key) {
+                Some(staged) if wb => staged.clone(),
+                _ => model.get(key).cloned(),
+            }
+        };
 
         for (i, (op, key, val)) in ops.iter().enumerate() {
             match op {
-                0 => {
-                    let full = model.len() >= CAP && !model.contains_key(key);
-                    let got = table.insert_main(key.clone(), vec![*val]);
-                    if full {
-                        // Plain tables error at capacity; nothing mutates.
-                        prop_assert!(got.is_err(), "op {}: full insert must fail", i);
-                    } else {
-                        prop_assert_eq!(
-                            got.expect("in-capacity insert"),
-                            Vec::<Vec<u64>>::new(),
-                            "op {}: plain tables never evict", i
-                        );
-                        model.insert(key.clone(), vec![*val]);
+                0 | 1 => {
+                    let got = table.insert_main(key, val);
+                    let mut model_evicted = Vec::new();
+                    if !model.contains_key(key) && model.len() >= cap {
+                        if !cache {
+                            prop_assert!(got.is_err(), "op {}: full insert must fail", i);
+                            continue;
+                        }
+                        while model.len() >= cap {
+                            let old = order.pop_front().unwrap();
+                            model.remove(&old);
+                            model_evicted.push(old);
+                        }
                     }
-                }
-                1 => {
-                    let got = table.lookup_ref(key, false);
-                    prop_assert_eq!(
-                        got,
-                        model.get(key).map(Vec::as_slice),
-                        "op {}: lookup", i
-                    );
+                    if cache && !model.contains_key(key) {
+                        order.push_back(key.clone());
+                    }
+                    model.insert(key.clone(), val.clone());
+                    prop_assert_eq!(got.expect("insert fits"), model_evicted, "op {}: evictions", i);
                 }
                 2 => {
                     table.delete_main(key);
                     model.remove(key);
+                    order.retain(|k| k != key);
+                    shadow.remove(key);
+                }
+                3 => {
+                    let staged = (val.len() != 1).then(|| val.clone());
+                    table.stage(key.clone(), staged.clone());
+                    shadow.insert(key.clone(), staged);
+                }
+                4 if val.len() == 3 => {
+                    table.drain_shadow();
+                    shadow.clear();
                 }
                 _ => {
-                    // Force a rebuild mid-stream: afterwards the layout
-                    // serves iff every resident key fits inline, and the
-                    // delta overlay is folded in either way.
-                    table.flush_layout();
-                    let all_inline = model
-                        .keys()
-                        .all(|k| k.len() <= gallium::switchsim::INLINE_KEY_WORDS);
+                    let wb = val.len() % 2 == 1;
                     prop_assert_eq!(
-                        table.layout_active(),
-                        all_inline,
-                        "op {}: layout activity", i
+                        table.lookup_ref(key, wb).map(<[u64]>::to_vec),
+                        model_get(&model, &shadow, key, wb),
+                        "op {}: lookup (wb {})", i, wb
                     );
-                    prop_assert_eq!(table.pending_delta(), 0, "op {}: delta folded", i);
                 }
             }
             prop_assert_eq!(table.len(), model.len(), "op {}: len", i);
+            prop_assert_eq!(table.shadow_len(), shadow.len(), "op {}: shadow len", i);
         }
 
-        // Final rebuild, then a full sweep: every resident key and a
-        // displaced probe set of absent keys must answer bit-identically
-        // through the freshly built layout.
-        table.flush_layout();
+        // Every resident key answers, and so does a set of absent ones.
         for (k, v) in &model {
             prop_assert_eq!(table.lookup_ref(k, false), Some(v.as_slice()), "final hit sweep");
         }
-        for k in model.keys() {
-            let mut absent = k.clone();
-            absent[0] ^= 0x8000_0000_0000_0000;
-            prop_assert_eq!(
-                table.lookup_ref(&absent, false),
-                model.get(&absent).map(Vec::as_slice),
-                "final miss sweep"
-            );
+        for (_, key, _) in &ops {
+            let mut absent = key.clone();
+            absent.push(7);
+            prop_assert_eq!(table.lookup_ref(&absent, false), None, "final miss sweep");
         }
         let got: Vec<_> = table.entries();
         let mut want: Vec<_> = model.into_iter().collect();
