@@ -1,30 +1,28 @@
-//! `BENCH_pr10.json` — perfect-hash match tables + software-pipelined
-//! batches.
+//! `BENCH_pr10.json` — warm per-packet and batch timings over the
+//! exact-match slot store.
 //!
-//! PR 10 gives every `RtTable` a read-optimized hash-and-displace layout
-//! (single-probe exact-match lookups, control-plane mutations buffered in
-//! a delta overlay and folded in by epoch-tracked rebuilds) and
-//! software-pipelines the batch paths: a static prefetch projection of
-//! the pre traversal builds packet n+1's probe key and touches its layout
-//! slot while packet n resolves. This bin carries the proof obligations:
+//! Every `RtTable` keeps its exact-match entries in one open-addressed
+//! slot array written in place by the control plane, and a burst through
+//! `inject_batch_into` is a plain loop over `inject_into`. This bin times
+//! both paths and carries the proof obligations:
 //!
 //! 1. **Differential suite** — every packaged middlebox deployed on the
 //!    compiled plan and on the reference AST interpreter, driven with the
 //!    same pseudo-random stream, must agree on every observable
 //!    (emissions, counters, state, evictions). A cache-mode run covers
 //!    the §7 replay path, a batch row checks `inject_batch_into` ≡
-//!    per-packet `inject` (the pipelined batch walk must not reorder or
+//!    per-packet `inject` (the batch loop must not reorder or
 //!    coalesce), and a fused ≡ unfused row drives the same stream through
 //!    plans built with and without superinstruction fusion.
 //! 2. **Fast path** — ns/pkt of a warm MazuNAT flow through
 //!    `Deployment::inject`, reported against the PR 8 baseline of
 //!    256 ns/pkt (BENCH_pr8.json), plus per-middlebox rows.
-//! 3. **Batch throughput** — ns/pkt of the software-pipelined
-//!    `inject_batch_into` draining pre-built bursts through one warm
+//! 3. **Batch throughput** — ns/pkt of `inject_batch_into` draining
+//!    pre-built bursts through one warm
 //!    buffer, per middlebox, against the PR 8 batch baseline of
 //!    210 ns/pkt, with the allocations-per-packet count observed by this
 //!    process's counting global allocator (must be 0 on every warm
-//!    drain — including every layout probe and prefetch).
+//!    drain — including every table probe).
 //! 4. **Table telemetry** — the `gallium.switchsim.table.rebuilds` /
 //!    `.probe` counters proving the timed lookups actually probed the
 //!    exact-match store.
@@ -53,8 +51,8 @@ use std::time::Instant;
 /// warm MazuNAT flow through the register-IR plan, from BENCH_pr8.json).
 const PR8_BASELINE_NS_PER_PKT: f64 = 256.0;
 
-/// The PR 8 warm batch baseline (ns/pkt through `inject_batch_into`
-/// before batch software pipelining; best-of-trials was 209).
+/// The warm batch baseline of BENCH_pr8.json (ns/pkt through
+/// `inject_batch_into`; best-of-trials was 209).
 const PR8_BATCH_BASELINE_NS_PER_PKT: f64 = 210.0;
 
 /// System allocator wrapper counting every allocation, so the zero-alloc
@@ -797,11 +795,11 @@ fn main() {
     let table_probes = snap.counter("gallium.switchsim.table.probe").unwrap_or(0);
     let layout_served = table_probes > 0;
     println!(
-        "table layout mazunat: {table_probes} layout probes, {table_rebuilds} rebuilds{}",
+        "table store mazunat: {table_probes} slot-array probes, {table_rebuilds} growths{}",
         if layout_served {
             ""
         } else {
-            " — WARNING: timed lookups fell back to map serving"
+            " — WARNING: timed lookups never probed a slot array"
         }
     );
 
@@ -917,7 +915,7 @@ fn main() {
         std::process::exit(1);
     }
     if !layout_served {
-        eprintln!("timed lookups never went through the perfect-hash layout");
+        eprintln!("timed lookups never probed a slot array");
         std::process::exit(1);
     }
 }

@@ -570,16 +570,8 @@ impl Deployment {
     /// emission is appended to `out` (not cleared first) in arrival order,
     /// and the per-packet observable behavior — emissions, counters,
     /// state — is identical to calling [`Deployment::inject`] in a loop.
-    /// Returns the number of packets fully processed.
-    ///
-    /// The burst is software-pipelined: before packet *n* is injected,
-    /// packet *n+1*'s first table key is built and its match-table line
-    /// prefetched (a semantics-free hint on a dedicated scratch — see
-    /// `Switch::prefetch_hint`), so the probe's memory latency overlaps
-    /// packet *n*'s traversal instead of serializing behind it. When the
-    /// plan's prefetch projection is pure, the hint's work is also
-    /// *reused*: packet *n+1*'s traversal resumes from the primed state
-    /// instead of replaying the key-build prologue.
+    /// Returns the number of packets fully processed. The burst is a plain
+    /// loop over [`Deployment::inject_into`].
     ///
     /// **Partial-failure semantics:** on `Err`, `out` retains every
     /// emission produced by the packets that completed before the failure
@@ -593,13 +585,7 @@ impl Deployment {
     ) -> Result<usize, DeployError> {
         self.telemetry.batches.inc();
         let mut done = 0usize;
-        let mut it = pkts.into_iter();
-        let mut cur = it.next();
-        while let Some(pkt) = cur {
-            let next = it.next();
-            if let Some(n) = &next {
-                self.switch.prefetch_hint(n);
-            }
+        for pkt in pkts {
             let mark = out.len();
             match self.inject_into(pkt, out) {
                 Ok(()) => done += 1,
@@ -609,7 +595,6 @@ impl Deployment {
                     return Err(e);
                 }
             }
-            cur = next;
         }
         self.telemetry.batch_pkts.add(done as u64);
         Ok(done)

@@ -41,6 +41,4 @@ pub use switch::{
 };
 pub use symcheck::{check_plan, SymCheckError, SymProof};
 pub use table::{KeyBuf, RtTable, TableCounter, TableError, TableStats, INLINE_KEY_WORDS};
-pub use view::{
-    CondSrc, MicroOp, OpView, PlanView, PrefetchView, StoreView, TraversalView, ValRef,
-};
+pub use view::{CondSrc, MicroOp, OpView, PlanView, StoreView, TraversalView, ValRef};

@@ -134,16 +134,6 @@ pub enum PlanError {
         /// The out-of-range target instruction.
         target: u32,
     },
-    /// The committed prefetch section is not the canonical projection of
-    /// the pre traversal — re-deriving it from the committed opcode stream
-    /// produced a different prologue or probe point. A stale or corrupt
-    /// prefetch section would warm the wrong table slot (harmless) or
-    /// execute ops with side effects off the packet path (not harmless),
-    /// so it is rejected at load.
-    BadPrefetch {
-        /// What disagreed.
-        what: &'static str,
-    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -199,10 +189,6 @@ impl std::fmt::Display for PlanError {
                     )
                 }
             }
-            PlanError::BadPrefetch { what } => write!(
-                f,
-                "prefetch section is not the canonical pre-traversal projection ({what})"
-            ),
         }
     }
 }
@@ -447,96 +433,12 @@ pub(crate) struct TraversalPlan {
     pub(crate) node_ips: Vec<u32>,
 }
 
-/// The pipelining projection of the pre traversal: the straight-line
-/// prefix that computes the first table key, precomputed at build time so
-/// batch processing can warm packet *n+1*'s match-table cache line while
-/// packet *n* resolves.
-///
-/// `prologue` lists the instruction pointers of the [`PlanOp::Eval`] and
-/// [`PlanOp::RegRead`] ops on the entry path (in execution order, with
-/// [`PlanOp::Jump`]s followed and [`PlanOp::Foreign`] markers stepped
-/// over); `probe_ip` is the first [`PlanOp::BuildKeyProbe`] that path
-/// reaches. Traversals whose entry path hits a branch, header write,
-/// register mutation, or emission before the first probe have no static
-/// projection and carry no prefetch section — correctness never depends
-/// on one existing. The section is *validated by re-derivation*: load and
-/// translation validation recompute the projection from the committed
-/// opcode stream and require bit-identical agreement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PrefetchPlan {
-    /// Instruction pointers of the side-effect-free prologue ops.
-    pub(crate) prologue: Vec<u32>,
-    /// Instruction pointer of the first key probe on the entry path.
-    pub(crate) probe_ip: u32,
-    /// Whether the projection is a *pure* function of the packet bytes
-    /// and ingress port alone: no `RegRead` in the prologue and no
-    /// `Foreign` marker stepped over before the probe. Only pure
-    /// projections may be **resumed** — the primed scratch handed to the
-    /// resolving run with the prologue skipped. A register read could go
-    /// stale between hint and resolve, and skipping a `Foreign` would
-    /// lose the to-server routing decision; impure projections still
-    /// warm the cache line, they just replay from the entry point.
-    pub(crate) pure: bool,
-}
-
-/// Compute the canonical prefetch projection of a committed traversal.
-/// Walks from the entry point recording pure prologue ops, following
-/// jumps, and stepping over `Foreign` markers; stops successfully at the
-/// first `BuildKeyProbe` and bails (no projection) at any op whose
-/// execution off the packet path would be observable. Total, even on
-/// corrupt streams: out-of-range targets and jump cycles return `None`
-/// via the step bound instead of looping.
-pub(crate) fn derive_prefetch(plan: &TraversalPlan) -> Option<PrefetchPlan> {
-    let mut prologue = Vec::new();
-    let mut pure = true;
-    let mut ip = plan.entry_ip as usize;
-    let mut steps = 0usize;
-    loop {
-        if steps > plan.ops.len() {
-            return None;
-        }
-        steps += 1;
-        match plan.ops.get(ip)? {
-            PlanOp::Eval { .. } => prologue.push(ip as u32),
-            // Replayable (registers are read through a stable snapshot)
-            // but not *resumable*: the value could change between the
-            // hint and the resolving run.
-            PlanOp::RegRead { .. } => {
-                prologue.push(ip as u32);
-                pure = false;
-            }
-            // `Foreign` only flags the *real* run's slow path; the
-            // prefetch pass ignores it (and must not record it) — but a
-            // resume skipping it would drop `saw_foreign`.
-            PlanOp::Foreign => pure = false,
-            PlanOp::Jump(t) => {
-                ip = *t as usize;
-                continue;
-            }
-            PlanOp::BuildKeyProbe { .. } => {
-                return Some(PrefetchPlan {
-                    prologue,
-                    probe_ip: ip as u32,
-                    pure,
-                })
-            }
-            // Branches make the path dynamic; every other op mutates the
-            // packet, registers, stats, or emissions.
-            _ => return None,
-        }
-        ip += 1;
-    }
-}
-
 /// The complete pre-lowered program: both traversals plus the transfer
 /// slot maps and the interned slot space.
 #[derive(Debug)]
 pub struct ExecPlan {
     pub(crate) pre: TraversalPlan,
     pub(crate) post: TraversalPlan,
-    /// Static pipelining projection of `pre`, if one exists (see
-    /// [`PrefetchPlan`]).
-    pub(crate) prefetch: Option<PrefetchPlan>,
     /// Metadata slot per `header_to_server` field, in field order.
     pub(crate) to_server_slots: Vec<u16>,
     /// Metadata slot per `header_to_switch` field, in field order.
@@ -609,11 +511,9 @@ impl ExecPlan {
         let n_regs = usize::from(pre_regs.max(post_regs));
         stats.micro_ops = (pre.micro.len() + post.micro.len()) as u64;
         stats.regs = n_regs as u64;
-        let prefetch = derive_prefetch(&pre);
         let plan = ExecPlan {
             pre,
             post,
-            prefetch,
             to_server_slots,
             from_server_slots,
             n_slots: interner.len(),
@@ -651,24 +551,7 @@ impl ExecPlan {
             self.n_regs,
             n_tables,
             n_registers,
-        )?;
-        // The prefetch section must be exactly the canonical projection
-        // of the committed pre stream. Equality against a fresh
-        // derivation subsumes structural checks: the derivation only
-        // yields in-bounds instruction pointers, and both the presence
-        // and the shape of the section are pinned.
-        if self.prefetch != derive_prefetch(&self.pre) {
-            return Err(PlanError::BadPrefetch {
-                what: "re-derivation disagrees with the committed section",
-            });
-        }
-        Ok(())
-    }
-
-    /// Whether the plan carries a static prefetch projection (telemetry /
-    /// bench introspection).
-    pub fn has_prefetch(&self) -> bool {
-        self.prefetch.is_some()
+        )
     }
 
     /// Total lowered opcodes across both traversals (telemetry).
@@ -2344,45 +2227,22 @@ fn apply_stores(stores: &[StoreSlot], regs: &[u64], meta: &mut [u64]) {
     }
 }
 
-/// Assemble a table key from its compiled sources — the key-build half of
-/// `BuildKeyProbe`, shared between the resolving run and the prefetch
-/// pass so both produce bit-identical keys.
-#[inline(always)]
-fn build_key(keys: &[ExprVal], regs: &[u64], key: &mut KeyBuf) {
-    key.clear();
-    for k in keys {
-        key.push(resolve(*k, regs));
-    }
-}
-
 /// Execute one compiled traversal over `pkt`. Emitted copies are appended
 /// to `out`; metadata lives in `scratch.meta` (caller zeroes or pre-seeds
 /// it). The node graph was proven acyclic at build time, so the loop needs
 /// no step guard.
-///
-/// `resume_at`: when the caller holds a scratch *primed* by
-/// [`run_prefetch`] for this exact packet (pure projection, matching
-/// content stamp — see [`crate::switch`]), pass the projection's
-/// `probe_ip` to skip the already-executed prologue: execution starts at
-/// the probe with the key, registers, and metadata the prefetch pass
-/// left in `scratch`, and the probe itself skips its redundant key
-/// build. `None` runs from the entry point on a caller-zeroed scratch.
 pub(crate) fn run_plan(
     plan: &TraversalPlan,
     ctx: &mut PlanCtx<'_>,
     scratch: &mut PlanScratch,
     pkt: &mut Packet,
     out: &mut Vec<(PortId, Packet)>,
-    resume_at: Option<u32>,
 ) -> PlanRun {
     let mut run = PlanRun::default();
     let meta = &mut scratch.meta;
     let regs = &mut scratch.regs;
     let key = &mut scratch.key;
-    let (mut ip, mut primed) = match resume_at {
-        Some(probe_ip) => (probe_ip as usize, true),
-        None => (plan.entry_ip as usize, false),
-    };
+    let mut ip = plan.entry_ip as usize;
     loop {
         match &plan.ops[ip] {
             PlanOp::Eval { run: r, stores } => {
@@ -2407,15 +2267,11 @@ pub(crate) fn run_plan(
                 hit_slot,
                 vals,
             } => {
-                // A resumed run reaches its first probe with the key
-                // (and the regs/meta feeding it) already built by the
-                // prefetch pass; every later probe builds normally.
-                if primed {
-                    primed = false;
-                } else {
-                    run_micro(&plan.micro[r.range()], &plan.hash_args, regs, meta, pkt);
-                    apply_stores(&plan.stores[stores.range()], regs, meta);
-                    build_key(&plan.keys[keys.range()], regs, key);
+                run_micro(&plan.micro[r.range()], &plan.hash_args, regs, meta, pkt);
+                apply_stores(&plan.stores[stores.range()], regs, meta);
+                key.clear();
+                for k in &plan.keys[keys.range()] {
+                    key.push(resolve(*k, regs));
                 }
                 let slots = &plan.value_slots[vals.range()];
                 let t = &ctx.tables[usize::from(*table)];
@@ -2529,73 +2385,6 @@ pub(crate) fn run_plan(
     run
 }
 
-/// The key-build + prefetch half of the pipelined batch: replay the pre
-/// traversal's static prologue for `pkt` on a *dedicated* scratch, build
-/// the first probe's key, and touch its match-table slot so the line is
-/// in flight while the previous packet resolves.
-///
-/// Semantics-free by construction: the prologue contains only pure
-/// evaluations and global-register *reads* (validated by re-derivation
-/// at load), the packet is borrowed immutably, and the scratch must not
-/// be the one the resolving run uses. A register write landing between
-/// prefetch and resolve merely warms the wrong slot — the resolving run
-/// recomputes the key from scratch. No-op for plans without a static
-/// projection.
-///
-/// Returns `true` iff `scratch` is now fully **primed for resume**: the
-/// projection is [pure](PrefetchPlan::pure) and the whole prologue plus
-/// key build executed, so a resolving run for a packet with identical
-/// bytes and ingress may start at `probe_ip` via [`run_plan`]'s
-/// `resume_at` instead of replaying the prologue. `false` means the
-/// pass was hint-only (cache line possibly warmed, scratch state
-/// unusable).
-pub(crate) fn run_prefetch(
-    plan: &ExecPlan,
-    tables: &[RtTable],
-    registers: &[u64],
-    scratch: &mut PlanScratch,
-    pkt: &Packet,
-) -> bool {
-    let Some(pf) = &plan.prefetch else {
-        return false;
-    };
-    let pre = &plan.pre;
-    // Mirror the network-ingress zeroing so LoadMeta sees the same
-    // prefix state the real run will.
-    scratch.meta.fill(0);
-    let meta = &mut scratch.meta;
-    let regs = &mut scratch.regs;
-    for &ip in &pf.prologue {
-        match &pre.ops[ip as usize] {
-            PlanOp::Eval { run, stores } => {
-                run_micro(&pre.micro[run.range()], &pre.hash_args, regs, meta, pkt);
-                apply_stores(&pre.stores[stores.range()], regs, meta);
-            }
-            PlanOp::RegRead { reg, dst } => {
-                meta[usize::from(*dst)] = registers[usize::from(*reg)];
-            }
-            // Unreachable: the committed section re-derives to exactly
-            // Eval/RegRead prologue ips (checked at load).
-            _ => return false,
-        }
-    }
-    let PlanOp::BuildKeyProbe {
-        run,
-        stores,
-        table,
-        keys,
-        ..
-    } = &pre.ops[pf.probe_ip as usize]
-    else {
-        return false;
-    };
-    run_micro(&pre.micro[run.range()], &pre.hash_args, regs, meta, pkt);
-    apply_stores(&pre.stores[stores.range()], regs, meta);
-    build_key(&pre.keys[keys.range()], regs, &mut scratch.key);
-    tables[usize::from(*table)].prefetch(scratch.key.as_slice());
-    pf.pure
-}
-
 /// Differential-testing hooks for the expression compiler: evaluate a
 /// standalone [`P4Expr`] through the full compiled pipeline (lower →
 /// register-allocate → execute) and through the AST interpreter's
@@ -2681,7 +2470,7 @@ pub mod expr_check {
         };
         let mut pkt = pkt.clone();
         let mut out = Vec::new();
-        run_plan(&plan.pre, &mut ctx, &mut scratch, &mut pkt, &mut out, None);
+        run_plan(&plan.pre, &mut ctx, &mut scratch, &mut pkt, &mut out);
         let slot = plan.slots.get(OUT).copied().expect("out slot interned");
         Ok(scratch.meta[usize::from(slot)])
     }

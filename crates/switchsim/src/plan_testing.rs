@@ -36,14 +36,10 @@ pub enum Mutation {
     /// Point the first register-sourced branch at a different register
     /// computed in the same run.
     WrongBranchReg,
-    /// Bump the prefetch section's probe ip — a stale pipelining
-    /// projection surviving an opcode-stream change, so the prefetch
-    /// pass would execute the wrong op off the packet path.
-    StalePrefetchProbe,
 }
 
 /// All seeded mutations, for exhaustive test loops.
-pub const ALL_MUTATIONS: [Mutation; 9] = [
+pub const ALL_MUTATIONS: [Mutation; 8] = [
     Mutation::SwapBinOp,
     Mutation::DropMask,
     Mutation::StaleCseReuse,
@@ -52,7 +48,6 @@ pub const ALL_MUTATIONS: [Mutation; 9] = [
     Mutation::DeadStorePinned,
     Mutation::OffByOneJump,
     Mutation::WrongBranchReg,
-    Mutation::StalePrefetchProbe,
 ];
 
 /// Apply `m` to the plan's pre traversal. Returns `false` when the plan
@@ -183,13 +178,6 @@ pub fn apply(plan: &mut ExecPlan, m: Mutation) -> bool {
                         return true;
                     }
                 }
-            }
-            false
-        }
-        Mutation::StalePrefetchProbe => {
-            if let Some(pf) = &mut plan.prefetch {
-                pf.probe_ip += 1;
-                return true;
             }
             false
         }

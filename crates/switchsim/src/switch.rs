@@ -9,9 +9,9 @@
 //! * the **AST interpreter** ([`Switch::load_interpreter`]) — the original
 //!   reference semantics, retained as the differential-testing oracle.
 
-use crate::fasthash::{FastBuildHasher, FxHasher64};
+use crate::fasthash::FastBuildHasher;
 use crate::loader::{load_check, LoadError};
-use crate::plan::{route_for, run_plan, run_prefetch, ExecPlan, PlanCtx, PlanOptions, PlanScratch};
+use crate::plan::{route_for, run_plan, ExecPlan, PlanCtx, PlanOptions, PlanScratch};
 use crate::table::RtTable;
 use gallium_mir::interp::{
     hash_values, read_header_field, refresh_ip_checksum, write_header_field,
@@ -113,19 +113,6 @@ pub struct Switch {
     plan: Option<ExecPlan>,
     /// Per-switch scratch reused across packets on the plan path.
     scratch: PlanScratch,
-    /// Dedicated scratches for the batch-pipelining prefetch pass — they
-    /// run packet *n+1*'s key-build prologue while `scratch` still holds
-    /// packet *n*'s state, so they must never share buffers with it.
-    /// Double-buffered: the hint for packet *n+2* lands in the other
-    /// slot, so *n+1*'s primed state survives until *n+1* resolves.
-    prefetch_slots: [PlanScratch; 2],
-    /// Content stamp of the packet each slot was primed for, `None` when
-    /// the slot holds no resumable state (no hint yet, impure projection,
-    /// or already consumed). See [`PrefetchStamp`] for why a stamp match
-    /// is *sufficient* to hand the primed scratch to the resolving run.
-    prefetch_stamps: [Option<PrefetchStamp>; 2],
-    /// Which prefetch slot the next hint writes.
-    prefetch_toggle: bool,
     tables: Vec<RtTable>,
     registers: Vec<u64>,
     pub(crate) wb_active: bool,
@@ -145,41 +132,6 @@ pub struct Switch {
     active_trace: Option<u32>,
     /// Data-plane counters.
     pub stats: SwitchStats,
-}
-
-/// Frame prefix the prefetch-resume fingerprint covers. Every header
-/// field [`read_header_field`] can reach lies within the first 94 bytes
-/// even with maximal IPv4 options (14 Ethernet + 60 IP + 20 TCP), so two
-/// frames of equal length agreeing on this window — and on ingress port —
-/// produce bit-identical prologue runs.
-const PREFETCH_FP_WINDOW: usize = 96;
-
-/// Content identity of a hinted packet: fingerprint of the parseable
-/// header window plus total length and ingress port.
-///
-/// A *pure* prefetch projection reads nothing but header fields and the
-/// ingress port (see `PrefetchPlan::pure`), so a stamp match proves the
-/// primed scratch holds exactly the state the resolving run would compute
-/// for the matching packet — the resume needs no pointer identity, packet
-/// liveness, or expiry argument to be sound. Hash collisions aside (a
-/// 64-bit Fx digest over simulator-built frames, the same trust level as
-/// the match-table hashes), a stale or aliased stamp can only match a
-/// packet the primed state is *correct* for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PrefetchStamp {
-    fp: u64,
-    len: u32,
-    ingress: u16,
-}
-
-/// Fingerprint of the header window (first [`PREFETCH_FP_WINDOW`] bytes,
-/// or the whole frame if shorter).
-#[inline]
-fn prefetch_fp(bytes: &[u8]) -> u64 {
-    use std::hash::Hasher;
-    let mut h = FxHasher64::default();
-    h.write(&bytes[..bytes.len().min(PREFETCH_FP_WINDOW)]);
-    h.finish()
 }
 
 impl Switch {
@@ -249,14 +201,6 @@ impl Switch {
             .as_ref()
             .map(PlanScratch::sized_for)
             .unwrap_or_default();
-        let prefetch_slots = [
-            plan.as_ref()
-                .map(PlanScratch::sized_for)
-                .unwrap_or_default(),
-            plan.as_ref()
-                .map(PlanScratch::sized_for)
-                .unwrap_or_default(),
-        ];
         let mut tables: Vec<RtTable> = prog
             .tables
             .iter()
@@ -284,9 +228,6 @@ impl Switch {
             cfg,
             plan,
             scratch,
-            prefetch_slots,
-            prefetch_stamps: [None, None],
-            prefetch_toggle: false,
             tables,
             registers,
             wb_active: false,
@@ -469,98 +410,21 @@ impl Switch {
         }
     }
 
-    /// Warm the match-table slot the pre traversal's first probe will
-    /// touch for `pkt` — the key-build + prefetch half of the pipelined
-    /// batch (see [`crate::plan`]'s prefetch section). Runs on a
-    /// dedicated scratch, mutates nothing observable, and is safe to call
-    /// on any packet: server-ingress frames (which run the post
-    /// traversal), interpreter-path switches, and plans without a static
-    /// projection all skip in a branch or two.
-    ///
-    /// When the projection is *pure* the primed scratch is additionally
-    /// stamped with the packet's content identity: if the next packets
-    /// processed include one matching the stamp, its resolving run
-    /// *resumes* from the primed state instead of replaying the prologue
-    /// and key build (see [`PrefetchStamp`] — the stamp match itself
-    /// guarantees the handoff is sound, so the hint stays semantics-free
-    /// for arbitrary callers).
-    #[inline]
-    pub fn prefetch_hint(&mut self, pkt: &Packet) {
-        let Some(plan) = &self.plan else { return };
-        if pkt.ingress == self.cfg.server_port {
-            return;
-        }
-        let slot = usize::from(self.prefetch_toggle);
-        self.prefetch_toggle = !self.prefetch_toggle;
-        let primed = run_prefetch(
-            plan,
-            &self.tables,
-            &self.registers,
-            &mut self.prefetch_slots[slot],
-            pkt,
-        );
-        self.prefetch_stamps[slot] = primed.then(|| PrefetchStamp {
-            fp: prefetch_fp(pkt.bytes()),
-            len: pkt.len() as u32,
-            ingress: pkt.ingress.0,
-        });
-    }
-
-    /// If a prefetch slot was primed for a packet content-identical to
-    /// `pkt`, consume it: swap the primed scratch in as the resolving
-    /// scratch and return `true`. Cheap rejection first (length +
-    /// ingress), fingerprint computed at most once.
-    #[inline]
-    fn take_resume(&mut self, pkt: &Packet) -> bool {
-        let len = pkt.len() as u32;
-        let ingress = pkt.ingress.0;
-        let mut fp = None;
-        for i in 0..2 {
-            let Some(s) = self.prefetch_stamps[i] else {
-                continue;
-            };
-            if s.len != len || s.ingress != ingress {
-                continue;
-            }
-            let f = *fp.get_or_insert_with(|| prefetch_fp(pkt.bytes()));
-            if s.fp == f {
-                self.prefetch_stamps[i] = None;
-                std::mem::swap(&mut self.scratch, &mut self.prefetch_slots[i]);
-                return true;
-            }
-        }
-        false
-    }
-
     /// Process a burst of packets, appending every emission to `out` in
-    /// arrival order. Amortizes dispatch, lets callers reuse one output
-    /// buffer across bursts, and software-pipelines the burst: packet
-    /// *n+1*'s table key is built and its match-table line prefetched
-    /// before packet *n* resolves, so the probe's memory latency overlaps
-    /// useful work instead of serializing behind it. For pure prefetch
-    /// projections the primed state is then *resumed* when *n+1*
-    /// resolves, so the prologue and key build run once per packet, not
-    /// twice.
+    /// arrival order: a plain loop over [`Switch::process_into`] that
+    /// lets callers reuse one output buffer across bursts.
     pub fn process_batch(
         &mut self,
         pkts: impl IntoIterator<Item = Packet>,
         out: &mut Vec<(PortId, Packet)>,
     ) {
-        let mut it = pkts.into_iter();
-        let Some(mut cur) = it.next() else { return };
-        for next in it {
-            self.prefetch_hint(&next);
-            self.process_into(cur, out);
-            cur = next;
+        for pkt in pkts {
+            self.process_into(pkt, out);
         }
-        self.process_into(cur, out);
     }
 
     /// The compiled-plan packet path.
     fn process_planned(&mut self, mut pkt: Packet, out: &mut Vec<(PortId, Packet)>) {
-        // Content-stamped prefetch handoff: when a hint already ran this
-        // packet's prologue, resume the pre traversal from the probe.
-        let resumed = self.take_resume(&pkt);
         let Switch {
             prog,
             cfg,
@@ -624,25 +488,14 @@ impl Switch {
                 trace: trace.map(|(t, id)| (t, id, Hop::SwitchPost)),
                 stats,
             };
-            run_plan(&plan.post, &mut ctx, scratch, &mut pkt, out, None);
+            run_plan(&plan.post, &mut ctx, scratch, &mut pkt, out);
         } else {
             stats.rx_network += 1;
             // Cache mode: keep a pristine copy; a cached-table miss voids
             // the traversal and the original packet is replayed on the
             // server.
             let pristine = tables.iter().any(|t| t.is_cache()).then(|| pkt.clone());
-            // A resumed scratch was zeroed and prologue-seeded by the
-            // prefetch pass; zeroing it again would destroy that state.
-            let resume_at = if resumed {
-                let pf = plan
-                    .prefetch
-                    .as_ref()
-                    .expect("stamped resume implies a projection");
-                Some(pf.probe_ip)
-            } else {
-                scratch.meta.fill(0);
-                None
-            };
+            scratch.meta.fill(0);
             let mark = out.len();
             let run = {
                 let mut ctx = PlanCtx {
@@ -654,7 +507,7 @@ impl Switch {
                     trace: trace.map(|(t, id)| (t, id, Hop::SwitchPre)),
                     stats: &mut *stats,
                 };
-                run_plan(&plan.pre, &mut ctx, scratch, &mut pkt, out, resume_at)
+                run_plan(&plan.pre, &mut ctx, scratch, &mut pkt, out)
             };
             if run.cache_missed {
                 out.truncate(mark);

@@ -1320,18 +1320,6 @@ pub fn check_plan(prog: &P4Program, plan: &ExecPlan) -> Result<SymProof, SymChec
         &reg_widths,
         &mut proof,
     )?;
-    // Translation-validate the prefetch section: it must be exactly the
-    // canonical projection of the (already proven) pre stream. A stale or
-    // hand-edited section could execute side-effecting ops off the packet
-    // path, so equality with a fresh derivation is required, not assumed.
-    if plan.prefetch != crate::plan::derive_prefetch(&plan.pre) {
-        return Err(SymCheckError::Malformed {
-            traversal: "pre",
-            node: 0,
-            ip: u32::MAX,
-            detail: "prefetch section is not the canonical pre-traversal projection",
-        });
-    }
     Ok(proof)
 }
 
@@ -1365,21 +1353,5 @@ mod tests {
             panic!("fixture shape changed");
         }
         assert!(check_plan(&other, &plan).is_err());
-    }
-
-    #[test]
-    fn non_canonical_prefetch_is_rejected() {
-        // Dropping the prefetch section entirely is just as non-canonical
-        // as corrupting it: validation re-derives the projection from the
-        // committed stream and requires exact agreement.
-        let prog = fixture();
-        let mut plan = ExecPlan::build(&prog).expect("builds");
-        assert!(plan.prefetch.is_some(), "fixture has a static projection");
-        plan.prefetch = None;
-        assert!(matches!(
-            check_plan(&prog, &plan),
-            Err(SymCheckError::Malformed { detail, .. })
-                if detail.contains("prefetch")
-        ));
     }
 }

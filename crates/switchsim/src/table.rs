@@ -247,15 +247,6 @@ impl SlotArray {
         }
     }
 
-    /// Demand-load the header of `key`'s home slot (see
-    /// [`RtTable::prefetch`]).
-    #[inline]
-    fn touch_home(&self, key: &[u64]) {
-        if !self.words.is_empty() {
-            std::hint::black_box(self.words[self.home(key) * self.stride]);
-        }
-    }
-
     /// Key words of the slot at `at`.
     fn key_at(&self, at: usize) -> &[u64] {
         let k = at + self.key_off();
@@ -583,19 +574,6 @@ impl RtTable {
     /// flush. Kept only because the replay benchmark still calls it; it
     /// goes with the benchmark's next revision.
     pub fn flush_layout(&mut self) {}
-
-    /// Demand-load the slot `key` would probe first, hiding the probe's
-    /// memory latency behind unrelated work (batch software pipelining).
-    /// Semantically a no-op. The crate forbids `unsafe`, so instead of a
-    /// prefetch instruction this issues an early load of the home slot's
-    /// header through `black_box`; the out-of-order core overlaps the
-    /// line fill with whatever the caller does next.
-    #[inline]
-    pub fn prefetch(&self, key: &[u64]) {
-        if self.lpm.is_none() {
-            self.slots.touch_home(key);
-        }
-    }
 
     /// Make room for `additional` more exact-match entries (at most up to
     /// the table's capacity), so a bulk install grows the slot array at

@@ -258,26 +258,6 @@ pub struct TraversalView {
     pub node_ips: Vec<u32>,
 }
 
-/// The plan's static prefetch section: the straight-line prefix of the
-/// pre traversal that computes the first table key, used by batch
-/// software pipelining to warm the next packet's match-table line. The
-/// prologue ips index into `PlanView::pre.ops` and resolve to `Eval` /
-/// `RegRead` opcodes only; `probe_ip` resolves to the `BuildKeyProbe`
-/// whose key the pass builds. Absent when the entry path branches or
-/// mutates state before its first probe.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrefetchView {
-    /// Instruction pointers of the pure prologue ops, in execution order.
-    pub prologue: Vec<u32>,
-    /// Instruction pointer of the probed `BuildKeyProbe`.
-    pub probe_ip: u32,
-    /// Whether the projection depends on packet bytes and ingress alone
-    /// (no `RegRead`, no `Foreign` stepped over) — the precondition for
-    /// the batch path to *resume* a primed scratch instead of replaying
-    /// the prologue.
-    pub pure: bool,
-}
-
 /// Owned, self-contained view of a compiled plan.
 #[derive(Debug, Clone)]
 pub struct PlanView {
@@ -285,8 +265,6 @@ pub struct PlanView {
     pub pre: TraversalView,
     /// Post-processing traversal (server-facing).
     pub post: TraversalView,
-    /// Static pipelining projection of `pre`, if one exists.
-    pub prefetch: Option<PrefetchView>,
     /// Number of interned metadata slots.
     pub n_slots: usize,
     /// Virtual register file size.
@@ -452,11 +430,6 @@ impl ExecPlan {
         PlanView {
             pre: view_traversal(&self.pre),
             post: view_traversal(&self.post),
-            prefetch: self.prefetch.as_ref().map(|pf| PrefetchView {
-                prologue: pf.prologue.clone(),
-                probe_ip: pf.probe_ip,
-                pure: pf.pure,
-            }),
             n_slots: self.n_slots,
             n_regs: self.n_regs,
             slot_names,
@@ -486,38 +459,5 @@ mod tests {
             .any(|op| matches!(op, OpView::BuildKeyProbe { keys, .. } if keys.len() == 2)));
         assert!(view.slot_names.iter().any(|n| n == "sum"));
         assert_eq!(view.n_slots, plan.n_slots);
-    }
-
-    #[test]
-    fn view_exposes_prefetch_projection() {
-        // The fixture's entry node computes its keys and probes before
-        // any branch, so both fused and unfused plans carry a static
-        // prefetch section; the view must expose it with prologue ips
-        // resolving to pure opcodes and the probe ip to the probe.
-        for fuse in [true, false] {
-            let prog = fixture();
-            let plan = ExecPlan::build_with(&prog, PlanOptions { fuse }).expect("builds");
-            let view = plan.view();
-            let pf = view.prefetch.as_ref().expect("fixture has a prefetch");
-            for &ip in &pf.prologue {
-                assert!(matches!(
-                    view.pre.ops[ip as usize],
-                    OpView::Eval { .. } | OpView::RegRead { .. }
-                ));
-            }
-            assert!(matches!(
-                view.pre.ops[pf.probe_ip as usize],
-                OpView::BuildKeyProbe { .. }
-            ));
-            // Purity must agree with the exposed prologue: resumable iff
-            // nothing register-dependent precedes the probe.
-            let has_regread = pf
-                .prologue
-                .iter()
-                .any(|&ip| matches!(view.pre.ops[ip as usize], OpView::RegRead { .. }));
-            if has_regread {
-                assert!(!pf.pure, "RegRead prologue cannot be pure");
-            }
-        }
     }
 }

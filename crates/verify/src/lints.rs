@@ -62,11 +62,6 @@ pub enum LintKind {
     /// A metadata slot the plan writes but nothing — no load, branch, or
     /// transfer header — ever observes.
     UnobservableMetaStore,
-    /// The plan's prefetch section references an opcode whose execution
-    /// off the packet path would be observable (not `Eval`/`RegRead`),
-    /// or its probe ip does not resolve to a table probe — an unsound
-    /// pipelining projection.
-    ImpurePrefetchOp,
 }
 
 impl LintKind {
@@ -85,7 +80,6 @@ impl LintKind {
             LintKind::DeadBranch => "dead_branch",
             LintKind::ConstantKeyWord => "constant_key_word",
             LintKind::UnobservableMetaStore => "unobservable_meta_store",
-            LintKind::ImpurePrefetchOp => "impure_prefetch_op",
         }
     }
 }

@@ -211,52 +211,7 @@ pub fn lint_plan(view: &PlanView, prog: &P4Program) -> Vec<Lint> {
         let sol = absint::analyze(&analysis);
         lint_traversal(view, tv, traversal, &sol.input, &mut out);
     }
-    lint_prefetch(view, &mut out);
     out
-}
-
-/// Structural soundness check over the plan's prefetch section, run
-/// independently of the switch's own re-derivation validator: every
-/// prologue ip must resolve to a pure opcode (`Eval` / `RegRead`) and the
-/// probe ip to a `BuildKeyProbe`, since the batch pipeliner executes
-/// these off the packet path where any other effect would be observable.
-fn lint_prefetch(view: &PlanView, out: &mut Vec<Lint>) {
-    let Some(pf) = &view.prefetch else { return };
-    let op_at = |ip: u32| view.pre.ops.get(ip as usize);
-    for &ip in &pf.prologue {
-        let pure = matches!(
-            op_at(ip),
-            Some(OpView::Eval { .. } | OpView::RegRead { .. })
-        );
-        if !pure {
-            out.push(Lint {
-                kind: LintKind::ImpurePrefetchOp,
-                severity: Severity::Error,
-                span: Span::PlanOp {
-                    traversal: "pre",
-                    ip,
-                },
-                message: format!(
-                    "prefetch prologue ip #{ip} is not a pure Eval/RegRead opcode; \
-                     executing it off the packet path would be observable"
-                ),
-            });
-        }
-    }
-    if !matches!(op_at(pf.probe_ip), Some(OpView::BuildKeyProbe { .. })) {
-        out.push(Lint {
-            kind: LintKind::ImpurePrefetchOp,
-            severity: Severity::Error,
-            span: Span::PlanOp {
-                traversal: "pre",
-                ip: pf.probe_ip,
-            },
-            message: format!(
-                "prefetch probe ip #{} does not resolve to a table probe",
-                pf.probe_ip
-            ),
-        });
-    }
 }
 
 fn lint_traversal(

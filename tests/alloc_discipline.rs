@@ -186,7 +186,7 @@ fn in_place_churn_is_allocation_free() {
     // The exact-match store is written in place: once the slot array has
     // grown to hold the working set, control-plane inserts and deletes
     // copy key and value words into slots and shift runs, and lookups
-    // (prefetch + probe) read them — none of it acquires memory.
+    // read them — none of it acquires memory.
     use gallium::switchsim::RtTable;
 
     let mut t = RtTable::new(1 << 16);
@@ -206,7 +206,6 @@ fn in_place_churn_is_allocation_free() {
         for i in 0..400u64 {
             let k = key(i);
             t.insert_main(&k, &[i + round]).unwrap();
-            t.prefetch(&k);
             if t.lookup_ref(&k, false) == Some(&[i + round][..]) {
                 hits += 1;
             }

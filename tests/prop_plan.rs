@@ -15,7 +15,7 @@
 //! * cache mode (§7): FIFO eviction order and replay behaviour under a
 //!   deliberately thrashed 2-entry cache.
 
-use gallium::middleboxes::{firewall, lb, mazunat, minilb, proxy, trojan};
+use gallium::middleboxes::{firewall, lb, mazunat, minilb, proxy, router, trojan};
 use gallium::middleboxes::{EXTERNAL_PORT, INTERNAL_PORT};
 use gallium::mir::StateId;
 use gallium::prelude::*;
@@ -205,6 +205,43 @@ fn assert_observably_equal(
     Ok(())
 }
 
+/// Control-plane set-up of a deployment under test.
+type Configure = Box<dyn Fn(&mut StateStore)>;
+
+/// Middlebox `which` of the batch ≡ per-packet differential: its
+/// program, its control-plane set-up and its cached tables.
+fn batch_case(which: usize) -> (Program, Configure, Vec<(StateId, usize)>) {
+    let lb_backends = |backends: StateId| -> Configure {
+        Box::new(move |s| {
+            s.vec_set_all(backends, vec![0xC0A8_0001, 0xC0A8_0002, 0xC0A8_0003])
+                .unwrap()
+        })
+    };
+    match which {
+        0 => (mazunat::mazunat().prog, Box::new(|_| {}), Vec::new()),
+        1 => {
+            let l = lb::load_balancer();
+            (l.prog, lb_backends(l.backends), Vec::new())
+        }
+        2 => {
+            let l = lb::load_balancer();
+            (l.prog, lb_backends(l.backends), vec![(l.conn, 16)])
+        }
+        _ => {
+            // Routes cover 11.0.0.0–11.0.0.3 at two prefix lengths; the
+            // generator's 11.0.0.4 and the NAT probes' address have no
+            // route and are dropped.
+            let r = router::prefix_router();
+            let cfg = r.clone();
+            let configure: Configure = Box::new(move |s| {
+                cfg.add_route(s, 0x0B00_0000, 30, 0xAA);
+                cfg.add_route(s, 0x0B00_0002, 31, 0xBB);
+            });
+            (r.prog, configure, Vec::new())
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -348,15 +385,26 @@ proptest! {
     /// `inject` per packet: same emissions (ports and bytes, in order),
     /// same counters, same authoritative state. The batch side is driven
     /// in chunks through one reused buffer to exercise the append (not
-    /// clear) contract across calls.
+    /// clear) contract across calls. The middlebox is an input: MazuNAT
+    /// (pure fast path plus NAT misses), the L4 LB (slow path and
+    /// `Foreign`), a 16-entry cached LB (cache-miss replays inside a
+    /// burst) and the prefix router (LPM, routed and dropped packets).
     #[test]
-    fn inject_batch_equals_per_packet_inject(descs in stream(40)) {
-        let nat = mazunat::mazunat();
-        let compiled = compile(&nat.prog, &SwitchModel::tofino_like()).expect("compiles");
-        let mut seq =
-            Deployment::new(&compiled, SwitchConfig::default(), CostModel::calibrated()).unwrap();
-        let mut bat =
-            Deployment::new(&compiled, SwitchConfig::default(), CostModel::calibrated()).unwrap();
+    fn inject_batch_equals_per_packet_inject(which in 0usize..4, descs in stream(40)) {
+        let (prog, configure, caches) = batch_case(which);
+        let compiled = compile(&prog, &SwitchModel::tofino_like()).expect("compiles");
+        let deploy = || {
+            let (cfg, cost) = (SwitchConfig::default(), CostModel::calibrated());
+            let mut d = if caches.is_empty() {
+                Deployment::new(&compiled, cfg, cost).unwrap()
+            } else {
+                Deployment::new_cached(&compiled, cfg, cost, &caches).unwrap()
+            };
+            d.configure(|s| configure(s)).unwrap();
+            d
+        };
+        let mut seq = deploy();
+        let mut bat = deploy();
 
         let mut expected = Vec::new();
         for d in &descs {

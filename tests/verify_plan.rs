@@ -175,10 +175,6 @@ enum Family {
     Store,
     MissingStore,
     Exit,
-    /// Structurally unsound plan sections (e.g. a stale prefetch
-    /// projection) are rejected as `Malformed` before any semantic
-    /// comparison can be phrased.
-    Malformed,
 }
 
 fn family_of(e: &SymCheckError) -> Option<Family> {
@@ -191,7 +187,6 @@ fn family_of(e: &SymCheckError) -> Option<Family> {
         }
         SymCheckError::MissingStore { .. } => Some(Family::MissingStore),
         SymCheckError::ExitMismatch { .. } => Some(Family::Exit),
-        SymCheckError::Malformed { .. } => Some(Family::Malformed),
         _ => None,
     }
 }
@@ -208,8 +203,6 @@ fn expected_family(m: Mutation) -> Family {
         Mutation::StaleCseReuse | Mutation::WrongFoldConstant => Family::Store,
         Mutation::DeadStorePinned => Family::MissingStore,
         Mutation::OffByOneJump | Mutation::WrongBranchReg => Family::Exit,
-        // A stale pipelining projection fails the re-derivation check.
-        Mutation::StalePrefetchProbe => Family::Malformed,
     }
 }
 
